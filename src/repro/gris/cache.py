@@ -11,9 +11,12 @@ show GRIS throughput collapsing under concurrent users exactly when the
 cache stops absorbing provider invocations.  Since searches now run on
 a multi-worker executor, this cache is a real concurrency structure:
 
-* **Thread safety** — one lock guards the slot table; snapshots are
-  immutable and swapped wholesale, so serving never holds the lock
-  while copying entries.
+* **Thread safety** — one lock guards the slot table, held only to read
+  or swap a slot (a hit is O(1)), never while a provider runs.
+* **Immutable snapshots** — a refresh stamps a copy of the provider's
+  entries once (both stamps are constants of the snapshot), publishes
+  it by one reference swap, and every reader until the next refresh is
+  handed that same tuple: read-only, copy before changing an entry.
 * **Single-flight coalescing** — N concurrent misses for one provider
   trigger exactly one ``provide()``; the other N-1 callers block on the
   in-flight refresh and share its result (``gris.cache.coalesced``).
@@ -37,8 +40,7 @@ unavailable sources must "not interfere with other functions" (§2.2).
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 from ..ldap.entry import Entry
 from ..net.clock import Clock
@@ -56,49 +58,29 @@ RefreshRunner = Callable[[Callable[[], None]], bool]
 class CacheStats:
     """Read view over the registry-backed cache counters.
 
-    Kept attribute-compatible with the old ad-hoc dataclass (``hits``,
-    ``misses``, ``failures``, ``stale_served``, ``hit_rate``) while the
-    storage moved to :class:`~repro.obs.metrics.MetricsRegistry` so the
-    same numbers surface under ``cn=monitor``.  The concurrency overhaul
-    added ``coalesced``, ``revalidations``, and ``backoff_skips``.
+    ``hits``, ``misses``, ``failures``, ``stale_served``, ``coalesced``,
+    ``revalidations`` and ``backoff_skips`` read (as ints) the counters
+    that surface under ``cn=monitor``; ``hit_rate`` derives from them.
     """
 
+    _COUNTERS = {
+        "hits": "gris.cache.hits",
+        "misses": "gris.cache.misses",
+        "failures": "gris.cache.failures",
+        "stale_served": "gris.cache.stale_served",
+        "coalesced": "gris.cache.coalesced",
+        "revalidations": "gris.cache.revalidations",
+        "backoff_skips": "gris.provider.backoff_skips",
+    }
+
     def __init__(self, metrics: MetricsRegistry):
-        self._hits = metrics.counter("gris.cache.hits")
-        self._misses = metrics.counter("gris.cache.misses")
-        self._failures = metrics.counter("gris.cache.failures")
-        self._stale_served = metrics.counter("gris.cache.stale_served")
-        self._coalesced = metrics.counter("gris.cache.coalesced")
-        self._revalidations = metrics.counter("gris.cache.revalidations")
-        self._backoff_skips = metrics.counter("gris.provider.backoff_skips")
+        for attr, metric in self._COUNTERS.items():
+            setattr(self, f"_{attr}", metrics.counter(metric))
 
-    @property
-    def hits(self) -> int:
-        return int(self._hits.value)
-
-    @property
-    def misses(self) -> int:
-        return int(self._misses.value)
-
-    @property
-    def failures(self) -> int:
-        return int(self._failures.value)
-
-    @property
-    def stale_served(self) -> int:
-        return int(self._stale_served.value)
-
-    @property
-    def coalesced(self) -> int:
-        return int(self._coalesced.value)
-
-    @property
-    def revalidations(self) -> int:
-        return int(self._revalidations.value)
-
-    @property
-    def backoff_skips(self) -> int:
-        return int(self._backoff_skips.value)
+    def __getattr__(self, attr: str) -> int:
+        if attr in self._COUNTERS:
+            return int(getattr(self, f"_{attr}").value)
+        raise AttributeError(attr)
 
     @property
     def hit_rate(self) -> float:
@@ -106,9 +88,8 @@ class CacheStats:
         return self.hits / total if total else 0.0
 
 
-@dataclass(frozen=True)
-class _CacheSlot:
-    entries: List[Entry]
+class _CacheSlot(NamedTuple):  # one immutable snapshot; what get() returns
+    entries: Tuple[Entry, ...]  # stamped, shared by every reader
     produced_at: float
 
 
@@ -162,13 +143,15 @@ class ProviderCache:
         provider: InformationProvider,
         now: float,
         serve_stale_on_failure: bool = True,
-    ) -> Tuple[List[Entry], float]:
+    ) -> Tuple[Tuple[Entry, ...], float]:
         """Return (entries, produced_at), refreshing when the TTL lapsed.
 
-        Entries are copies stamped with the production time so consumers
-        can "explicitly model the currency ... of their information"
-        (§2.1).  Concurrent misses coalesce onto one ``provide()``; a
-        provider in failure backoff is not invoked at all.
+        Entries carry the production-time stamps so consumers can
+        "explicitly model the currency ... of their information" (§2.1).
+        They are the snapshot itself, not copies: the same read-only
+        tuple goes to every caller until the next refresh replaces it.
+        Concurrent misses coalesce onto one ``provide()``; a provider in
+        failure backoff is not invoked at all.
         """
         name = provider.name
         ttl = provider.cache_ttl
@@ -179,7 +162,7 @@ class ProviderCache:
             slot = state.slot
             if slot is not None and ttl > 0 and now - slot.produced_at <= ttl:
                 self.stats._hits.inc()
-                return self._serve(slot, provider)
+                return slot
             stale_ok = (
                 slot is not None
                 and ttl > 0
@@ -192,7 +175,7 @@ class ProviderCache:
                     # A refresh is already under way and the snapshot is
                     # within the serve window: answer from it now.
                     self.stats._hits.inc()
-                    return self._serve(slot, provider)
+                    return slot
                 self.stats._misses.inc()
                 self.stats._coalesced.inc()
             elif now < state.retry_at:
@@ -202,7 +185,7 @@ class ProviderCache:
                 self.stats._backoff_skips.inc()
                 if slot is not None and serve_stale_on_failure:
                     self.stats._stale_served.inc()
-                    return self._serve(slot, provider)
+                    return slot
                 raise ProviderError(
                     f"provider {name!r} backing off after "
                     f"{state.failures} consecutive failures"
@@ -223,7 +206,7 @@ class ProviderCache:
                 # away; the refresh happens off this request's path.
                 if not self._runner(lambda: self._refresh(provider, flight, now)):
                     self._refresh(provider, flight, now)  # pool saturated
-                return self._serve(slot, provider)
+                return slot
             self._refresh(provider, flight, now)
         else:
             flight.done.wait()
@@ -233,9 +216,9 @@ class ProviderCache:
                 slot = self._states[name].slot
             if slot is not None and serve_stale_on_failure:
                 self.stats._stale_served.inc()
-                return self._serve(slot, provider)
+                return slot
             raise flight.error
-        return self._serve(flight.slot, provider)
+        return flight.slot
 
     def _refresh(
         self, provider: InformationProvider, flight: _Flight, now: float
@@ -244,6 +227,14 @@ class ProviderCache:
         name = provider.name
         try:
             entries = provider.provide()
+            produced_at = self._now(now)
+            ttl = provider.cache_ttl if provider.cache_ttl > 0 else None
+            # Both stamps are constants of the snapshot: stamp once here,
+            # not once per reader.
+            slot = _CacheSlot(
+                tuple(e.copy().stamp(now=produced_at, ttl=ttl) for e in entries),
+                produced_at,
+            )
         except Exception as exc:  # noqa: BLE001 - must resolve the flight
             error = (
                 exc
@@ -264,7 +255,6 @@ class ProviderCache:
             flight.error = error
             flight.done.set()
             return
-        slot = _CacheSlot(entries=entries, produced_at=self._now(now))
         with self._lock:
             state = self._states.setdefault(name, _ProviderState())
             state.slot = slot
@@ -277,32 +267,23 @@ class ProviderCache:
     def _now(self, fallback: float) -> float:
         return self.clock.now() if self.clock is not None else fallback
 
-    def _serve(
-        self, slot: _CacheSlot, provider: InformationProvider
-    ) -> Tuple[List[Entry], float]:
-        ttl = provider.cache_ttl if provider.cache_ttl > 0 else None
-        out = []
-        for entry in slot.entries:
-            copy = entry.copy()
-            copy.stamp(now=slot.produced_at, ttl=ttl)
-            out.append(copy)
-        return out, slot.produced_at
-
     def seed(
-        self, provider_name: str, entries: List[Entry], produced_at: float
+        self, provider_name: str, entries: Tuple[Entry, ...], produced_at: float
     ) -> None:
         """Install a snapshot without invoking the provider (warm restart).
 
         Used by durable-view recovery: entries replayed from storage
-        stand in for the pre-crash ``provide()`` result, stamped with
-        the original production time so TTL expiry still measures real
-        information age, not process uptime.  Never overwrites a slot a
-        live refresh already produced.
+        stand in for the pre-crash ``provide()`` result.  They already
+        carry the stamps of the original production time, and
+        *produced_at* repeats it, so TTL expiry still measures real
+        information age, not process uptime.  *entries* is served as
+        given (the same tuple object comes back from :meth:`get`).
+        Never overwrites a slot a live refresh already produced.
         """
         with self._lock:
             state = self._states.setdefault(provider_name, _ProviderState())
             if state.slot is None:
-                state.slot = _CacheSlot(entries=list(entries), produced_at=produced_at)
+                state.slot = _CacheSlot(entries, produced_at)
 
     def invalidate(self, provider_name: str) -> None:
         """Drop the snapshot and failure history; keep any in-flight refresh."""

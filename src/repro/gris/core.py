@@ -13,7 +13,9 @@ filtering, §10.1/§10.3) and adds:
 
 * namespace-pruned dispatch to registered providers;
 * per-provider TTL caching (:mod:`repro.gris.cache`);
-* merge of provider snapshots into one view;
+* one shared, read-only *served form* per provider snapshot (rebased,
+  keyed by DN, one encode-cache cell per entry), built once per refresh:
+  a search is O(providers) TTL checks plus O(candidates) matching;
 * robustness: a failing provider is skipped, not fatal (§2.2);
 * polling subscriptions, so persistent search works over providers that
   only expose snapshots (MDS-2.1 lacked push; we implement it as the
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import functools
 import threading
-from typing import Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..ldap.backend import (
     Backend,
@@ -37,7 +39,7 @@ from ..ldap.backend import (
 )
 from ..ldap.dit import DIT, DitError, Scope
 from ..ldap.dn import DN, RDN
-from ..ldap.entry import Entry
+from ..ldap.entry import Entry, WireCache
 from ..ldap.executor import RequestExecutor
 from ..ldap.filter import compile_filter
 from ..ldap.protocol import LdapResult, ResultCode, SearchRequest
@@ -53,6 +55,9 @@ __all__ = ["GrisBackend"]
 # stores alongside the mirrored snapshots (see _sync_view).
 _VIEW_META_CLASS = "grisviewmeta"
 
+# Currency stamps: constants of a snapshot, not part of an entry's payload.
+_STAMPS = frozenset(("mds-timestamp", "mds-validto"))
+
 
 def _view_marker_dn(provider_name: str) -> DN:
     """Where provider *provider_name*'s view-metadata entry lives.
@@ -61,6 +66,56 @@ def _view_marker_dn(provider_name: str) -> DN:
     collide with (or leak into) the mirrored provider namespace.
     """
     return DN((RDN.single("gris-view-provider", provider_name),))
+
+
+class _Source:
+    """One source's entries in served form: absolute DNs, keyed by DN.
+
+    The first entry to name a DN wins, as in the cross-provider merge.
+    Read-only once built and shared by every request; *origin* is the
+    provider-cache tuple it was built from (another tuple = a refresh).
+    """
+
+    __slots__ = ("name", "origin", "produced_at", "by_dn")
+
+    def __init__(self, entries: Iterable[Entry], name=None, origin=None, produced_at=0.0):
+        self.name = name
+        self.origin = origin
+        self.produced_at = produced_at
+        self.by_dn: Dict[DN, Entry] = {}
+        for entry in entries:
+            self.by_dn.setdefault(entry.dn, entry)
+
+
+def _shared(entry: Entry, dn: DN) -> Entry:
+    """A copy of *entry* at *dn* with a fresh encode-cache cell, to be shared read-only."""
+    out = entry.with_dn(dn)
+    out._wire = WireCache()
+    return out
+
+
+def _first(sources: Sequence[_Source], dn: DN) -> Optional[Entry]:
+    """The entry the merge serves at *dn*: the first source naming it wins."""
+    for source in sources:
+        entry = source.by_dn.get(dn)
+        if entry is not None:
+            return entry
+    return None
+
+
+def _scan(
+    sources: Sequence[_Source], base: DN, scope: Scope, match: Callable[[Entry], bool]
+) -> List[Entry]:
+    """Linear match over the merged sources, shadowed duplicates dropped."""
+    return [
+        entry
+        for rank, source in enumerate(sources)
+        for earlier in [sources[:rank]]
+        for entry in source.by_dn.values()
+        if _in_scope(entry.dn, base, scope)
+        and match(entry)
+        and not any(entry.dn in other.by_dn for other in earlier)
+    ]
 
 
 class GrisBackend(Backend):
@@ -101,7 +156,11 @@ class GrisBackend(Backend):
             refresh_runner=None if self._pool.inline else self._pool.submit,
         )
         self._providers: Dict[str, InformationProvider] = {}
-        self._suffix_entry: Optional[Entry] = None
+        self._provider_seconds: Dict[str, object] = {}
+        self._suffix_source: Optional[_Source] = None
+        # Served form per cached provider (see _publish): read without
+        # a lock, written under _view_lock together with the view.
+        self._served: Dict[str, _Source] = {}
         self._subs: Dict[int, "_PollingSubscription"] = {}
         self._next_sub = 0
         self._provider_errors = self.metrics.counter("gris.provider.errors")
@@ -111,15 +170,14 @@ class GrisBackend(Backend):
         self._collect_seconds = self.metrics.histogram("gris.collect.seconds")
         self.metrics.gauge_fn("gris.providers", lambda: len(self._providers))
         self.metrics.gauge_fn("gris.subscriptions", lambda: len(self._subs))
-        # Materialized view: cached provider snapshots mirrored into an
-        # indexed DIT so plannable filters probe posting lists instead
-        # of filter-matching every merged entry.  Providers are assumed
-        # to own disjoint namespaces (as the merge in _collect already
-        # assumes).  None = linear matching, the historical behavior.
+        # Materialized view: the served forms mirrored into an indexed
+        # DIT so plannable filters probe posting lists instead of
+        # filter-matching every merged entry.  It holds what the merge
+        # serves (first provider to name a DN wins) and only yields
+        # candidate DNs; answers are the shared entries in _served.
+        # None = linear matching.
         self._view: Optional[DIT] = None
         self._view_lock = threading.Lock()
-        self._view_versions: Dict[str, float] = {}
-        self._view_dns: Dict[str, List[DN]] = {}
         self.index_attrs: tuple = tuple(index_attrs or ())
         self.recovered_view_providers = 0
         if self.index_attrs or storage is not None:
@@ -150,10 +208,13 @@ class GrisBackend(Backend):
     def add_provider(self, provider: InformationProvider) -> None:
         if provider.name in self._providers:
             raise ValueError(f"duplicate provider {provider.name!r}")
-        self._providers[provider.name] = provider
+        name = provider.name
+        self._providers[name] = provider
+        self._provider_seconds[name] = self.metrics.histogram(
+            "gris.provider.seconds", labels={"provider": name}
+        )
         # Live cache-age gauge per provider: consumers of cn=monitor can
         # judge snapshot currency (§2.1) without probing the provider.
-        name = provider.name
         self.metrics.gauge_fn(
             "gris.cache.age",
             lambda: self.cache.age(name, self.clock.now()) or 0.0,
@@ -185,123 +246,122 @@ class GrisBackend(Backend):
 
     def remove_provider(self, name: str) -> None:
         if self._providers.pop(name, None) is not None:
-            # Drop the per-provider cache-age gauge registered by
-            # add_provider, or cn=monitor keeps serving the ghost.
-            self.metrics.unregister("gris.cache.age", labels={"provider": name})
+            # Drop the per-provider instruments registered by
+            # add_provider, or cn=monitor keeps serving the ghosts.
+            labels = {"provider": name}
+            self.metrics.unregister("gris.cache.age", labels=labels)
+            self.metrics.unregister("gris.provider.seconds", labels=labels)
+            self._provider_seconds.pop(name, None)
         self.cache.invalidate(name)
-        self._drop_view(name)
-
-    # -- materialized view -------------------------------------------------------
-
-    def _drop_view(self, name: str) -> None:
-        if self._view is None:
-            return
         with self._view_lock:
-            self._view_versions.pop(name, None)
-            for dn in sorted(self._view_dns.pop(name, ()), key=len, reverse=True):
-                try:
-                    self._view.delete(dn)
-                except DitError:
-                    pass  # shared glue ancestor: another provider's child
-            try:
-                self._view.delete(_view_marker_dn(name))
-            except DitError:
-                pass  # never synced (or volatile view without markers)
+            self._sync_view(name, self._served.pop(name, None), None)
 
-    def _sync_view(self, name: str, version: float, entries: List[Entry]) -> None:
-        """Mirror one provider's cache snapshot into the view DIT.
+    # -- served forms and the materialized view ----------------------------------
 
-        ``version`` is the snapshot's produced_at stamp from the
-        provider cache: one sync per refresh, no matter how many
-        searches serve that snapshot.
+    def _publish(self, name: str, origin: Tuple[Entry, ...], produced_at: float) -> _Source:
+        """Build and publish the served form of one provider snapshot.
+
+        Once per refresh, by whichever search first sees the new cache
+        tuple.  The view moves with it under one lock: a search sees a
+        provider's generation N or N+1 whole, never a mixture.
+        """
+        with self._view_lock:
+            old = self._served.get(name)
+            if old is not None and (old.origin is origin or produced_at < old.produced_at):
+                return old  # built meanwhile, or the caller holds an older one
+            suffix = self.suffix.rdns
+            served = _Source(
+                (_shared(e, DN(e.dn.rdns + suffix)) for e in origin),
+                name,
+                origin,
+                produced_at,
+            )
+            if name in self._providers:  # else removed while the probe ran
+                self._served[name] = served
+                self._sync_view(name, old, served)
+            return served
+
+    def _sync_view(self, name: str, old: Optional[_Source], new: Optional[_Source]) -> None:
+        """Move the view from provider *name*'s generation *old* to *new*.
+
+        The caller holds ``_view_lock`` and has updated ``_served``.  The
+        view keeps, per DN, the entry the merge serves: a DN this
+        provider dropped falls to the next provider naming it, or leaves.
         """
         if self._view is None:
             return
-        with self._view_lock:
-            if self._view_versions.get(name) == version:
-                return
-            for dn in sorted(self._view_dns.get(name, ()), key=len, reverse=True):
-                try:
+        sources = [self._served[n] for n in list(self._providers) if n in self._served]
+        kept = new.by_dn if new is not None else {}
+        touched = set(kept).union(old.by_dn if old is not None else ())
+        for dn in sorted(touched, key=len, reverse=True):
+            winner = _first(sources, dn)
+            try:
+                if winner is None:
                     self._view.delete(dn)
-                except DitError:
-                    pass
-            stored: List[DN] = []
-            for entry in sorted(entries, key=lambda e: len(e.dn)):
-                self._view.add(entry, replace=True)
-                stored.append(entry.dn)
-            self._view_dns[name] = stored
-            self._view_versions[name] = version
-            # Bookkeeping marker: with a durable engine underneath, the
-            # (version, stored-DNs) pair must survive restart alongside
-            # the mirrored entries, or recovery could not tell which
-            # snapshots the persisted view corresponds to.
-            marker = Entry(
-                _view_marker_dn(name),
-                attrs={
-                    "gris-view-provider": name,
-                    "objectclass": [_VIEW_META_CLASS],
-                    "viewversion": repr(version),
-                    "viewdn": [str(dn) for dn in stored],
-                },
-            )
-            self._view.replace(marker)
+                elif winner is kept.get(dn) or dn not in kept:
+                    self._view.add(winner, replace=True)
+            except DitError:
+                pass  # glue ancestor of entries still in the view
+        if self._view.storage.backend_name == "memory":
+            return  # a marker exists to be read back after a restart
+        # With a durable engine underneath, (version, mirrored DNs) must
+        # survive restart beside the mirrored entries, or recovery could
+        # not tell which snapshots the persisted view corresponds to.
+        marker = _view_marker_dn(name)
+        if new is not None:
+            attrs = {
+                "gris-view-provider": name,
+                "objectclass": [_VIEW_META_CLASS],
+                "viewversion": repr(new.produced_at),
+                "viewdn": [str(dn) for dn in kept],
+            }
+            self._view.replace(Entry(marker, attrs=attrs))
+        elif self._view.exists(marker):
+            self._view.delete(marker)
 
     def _recover_view(self) -> None:
-        """Warm restart: rebuild view bookkeeping from replayed markers.
+        """Warm restart: rebuild the served forms from replayed markers.
 
-        Each marker entry yields the provider's snapshot version and the
-        DNs it mirrored; those entries (un-rebased back to the
-        provider's own namespace) seed the provider cache at the
-        original production time, so planned searches after a restart
-        serve exactly the pre-crash results until TTLs lapse and the
-        normal refresh cycle takes over — §2.1 information currency is
-        preserved because the stamps still reflect when the data was
-        actually produced.
+        Each marker yields a provider's snapshot version and the DNs it
+        mirrored: the pre-crash served form, stamps included.  Un-rebased
+        it seeds the provider cache at the original production time, so
+        searches serve the pre-crash results until TTLs lapse (§2.1: the
+        stamps still say when the data was actually produced).
         """
         strip = len(self.suffix.rdns)
         for entry in self._view.dump():
-            if not entry.is_a(_VIEW_META_CLASS):
-                continue
             name = entry.first("gris-view-provider")
-            if not name:
+            if not entry.is_a(_VIEW_META_CLASS) or not name:
                 continue
             try:
                 version = float(entry.first("viewversion", ""))
                 dns = [DN.of(s) for s in entry.get("viewdn")]
             except ValueError:
                 continue  # malformed marker: provider re-probes cold
-            self._view_versions[name] = version
-            self._view_dns[name] = dns
-            snapshot: List[Entry] = []
-            for dn in dns:
-                try:
-                    stored = self._view.get(dn)
-                except DitError:
-                    continue
-                relative = (
-                    DN(stored.dn.rdns[: len(stored.dn.rdns) - strip])
-                    if strip
-                    else stored.dn
-                )
-                snapshot.append(stored.with_dn(relative))
-            self.cache.seed(name, snapshot, version)
+            stored = [self._view.get(dn) for dn in dns if self._view.exists(dn)]
+            origin = tuple(
+                e.with_dn(DN(e.dn.rdns[: len(e.dn.rdns) - strip])) for e in stored
+            )
+            self._served[name] = _Source(stored, name, origin, version)
+            self.cache.seed(name, origin, version)
             self.recovered_view_providers += 1
 
-    def _view_candidates(self, req: SearchRequest, info: Dict) -> Optional[set]:
-        """Candidate DNs for this collect, or None to match linearly.
+    def _plan(self, req: SearchRequest, sources: List[_Source]) -> Optional[Set[DN]]:
+        """Candidate DNs for *sources*, or None to match them linearly.
 
-        Falls back whenever (a) no view is configured, (b) any provider
-        answered per-request (its entries bypass the cache and thus the
-        view), (c) a concurrent refresh moved the view past the snapshot
-        versions this collect served (candidates could miss DNs present
-        in the merged dict), or (d) the filter is not index-answerable.
+        None when (a) no view is configured, (b) a source is not the
+        generation the view indexes — a provider answered per-request,
+        or a concurrent refresh moved the view on — or (c) the filter
+        is not index-answerable.
         """
-        if self._view is None or info.get("direct"):
+        if self._view is None:
             return None
         with self._view_lock:
-            versions = info.get("versions", {})
-            for name, version in versions.items():
-                if self._view_versions.get(name) != version:
+            for source in sources:
+                if (
+                    source is not self._suffix_source
+                    and self._served.get(source.name) is not source
+                ):
                     return None
             return self._view.candidates(req.filter)
 
@@ -310,15 +370,14 @@ class GrisBackend(Backend):
 
     def set_suffix_entry(self, entry: Entry) -> None:
         """The entry published at the GRIS suffix itself."""
-        self._suffix_entry = entry.with_dn(self.suffix)
+        self._suffix_source = _Source([_shared(entry, self.suffix)])
 
     def _observe_provider(
         self, provider: InformationProvider, started: float, span, failed: bool = False
     ) -> None:
-        elapsed = self.clock.now() - started
-        self.metrics.histogram(
-            "gris.provider.seconds", labels={"provider": provider.name}
-        ).observe(elapsed)
+        seconds = self._provider_seconds.get(provider.name)
+        if seconds is not None:  # None: removed while this probe ran
+            seconds.observe(self.clock.now() - started)
         if span is not None:
             if failed:
                 span.tag("failed", True)
@@ -363,69 +422,56 @@ class GrisBackend(Backend):
             )
         trace = getattr(ctx, "trace", None)
         span = trace.child("gris.collect") if trace is not None else None
-        info: Dict = {"direct": False, "versions": {}}
-        entries = self._collect(req, trace=span, token=ctx.token, info=info)
+        sources = self._collect(req, trace=span, token=ctx.token)
         if span is not None:
-            span.tag("entries", len(entries)).finish()
-        candidates = (
-            self._view_candidates(req, info) if req.scope != Scope.BASE else None
-        )
+            span.tag("entries", sum(len(s.by_dn) for s in sources)).finish()
         match = compile_filter(req.filter)
-        if candidates is not None:
-            self._search_indexed.inc()
-            in_scope = []
-            # The suffix entry never enters the view (it is not a cached
-            # provider snapshot): check it linearly, then the candidates.
-            suffix_entry = entries.get(self.suffix)
-            if (
-                suffix_entry is not None
-                and _in_scope(suffix_entry.dn, base, req.scope)
-                and match(suffix_entry)
-            ):
-                in_scope.append(suffix_entry)
-            for dn in candidates:
-                if dn == self.suffix:
-                    continue
-                entry = entries.get(dn)
-                if entry is None:
-                    continue  # stale posting: not part of this collect
-                if _in_scope(entry.dn, base, req.scope) and match(entry):
-                    in_scope.append(entry)
-        else:
+        if req.scope == Scope.BASE:
             self._search_scanned.inc()
-            in_scope = [
-                e
-                for e in entries.values()
-                if _in_scope(e.dn, base, req.scope) and match(e)
+            entry = _first(sources, base)
+            if entry is None or not match(entry):
+                return SearchOutcome(
+                    result=LdapResult(ResultCode.NO_SUCH_OBJECT, matched_dn=req.base)
+                )
+            return SearchOutcome(entries=[entry])
+        candidates = self._plan(req, sources)
+        if candidates is None:
+            self._search_scanned.inc()
+            found = _scan(sources, base, req.scope, match)
+        else:
+            self._search_indexed.inc()
+            # The suffix entry never enters the view (it is not a cached
+            # provider snapshot): verify it like any other candidate.
+            candidates.add(self.suffix)
+            found = [
+                entry
+                for entry in (_first(sources, dn) for dn in candidates)
+                if entry is not None  # None: a posting outside this collect
+                and _in_scope(entry.dn, base, req.scope)
+                and match(entry)
             ]
-        if req.scope == Scope.BASE and not in_scope:
-            return SearchOutcome(
-                result=LdapResult(ResultCode.NO_SUCH_OBJECT, matched_dn=req.base)
-            )
-        in_scope.sort(key=lambda e: e.dn.sort_key)
-        return SearchOutcome(entries=in_scope)
+        found.sort(key=lambda e: e.dn.sort_key)
+        return SearchOutcome(entries=found)
 
-    def _collect(
-        self, req: SearchRequest, trace=None, token=None, info: Optional[Dict] = None
-    ) -> Dict[DN, Entry]:
-        """Gather the merged view relevant to *req* from all providers.
+    def _collect(self, req: SearchRequest, trace=None, token=None) -> List[_Source]:
+        """Gather the sources relevant to *req*, in merge order.
+
+        The suffix entry, then one source per provider that answered,
+        in registration order whatever order the probes completed in;
+        the first source to name a DN serves it.  A cached provider
+        contributes its shared served form (nothing is copied, stamped,
+        rebased or re-keyed per request), a filter-aware one its answer.
 
         Namespace-pruned providers are probed concurrently on the
         provider pool when it has workers (query latency is the max of
         the provider latencies, not the sum); inline mode probes them
-        sequentially, which keeps the simulator deterministic.  Results
-        merge in registration order either way, so the merged view does
-        not depend on probe completion order.
+        sequentially, which keeps the simulator deterministic.
 
         A cancelled *token* aborts the fan-out: the requester is gone
-        (Abandon, disconnect) or past its time limit, so outstanding
-        probes are wasted work.  The partial merge is returned; the
-        front end discards it.
+        or past its time limit, so outstanding probes are wasted work.
+        The partial list is returned; the front end discards it.
         """
         now = self.clock.now()
-        merged: Dict[DN, Entry] = {}
-        if self._suffix_entry is not None:
-            merged[self.suffix] = self._suffix_entry.copy()
         eligible: List[InformationProvider] = []
         for provider in self._providers.values():
             if self._intersects(provider, req):
@@ -433,29 +479,18 @@ class GrisBackend(Backend):
             else:
                 self._pruned.inc()
         if self._pool.inline or len(eligible) <= 1:
-            results = self._probe_serial(eligible, req, now, trace, token, info)
+            results = self._probe_serial(eligible, req, now, trace, token)
         else:
-            results = self._probe_parallel(eligible, req, now, trace, token, info)
-        for entries in results:
-            if not entries:
-                continue
-            for entry in entries:
-                # First provider to name a DN wins; providers are expected
-                # to own disjoint namespaces.
-                merged.setdefault(entry.dn, entry)
+            results = self._probe_parallel(eligible, req, now, trace, token)
+        sources = [self._suffix_source] if self._suffix_source is not None else []
+        sources.extend(source for source in results if source is not None)
         self._collect_seconds.observe(self.clock.now() - now)
-        return merged
+        return sources
 
     def _probe_one(
-        self,
-        provider: InformationProvider,
-        req: SearchRequest,
-        now,
-        trace,
-        token,
-        info: Optional[Dict] = None,
-    ) -> Optional[List[Entry]]:
-        """Probe one provider; absolute entries, or None (failed/cancelled)."""
+        self, provider: InformationProvider, req: SearchRequest, now, trace, token
+    ) -> Optional[_Source]:
+        """Probe one provider; its source, or None (failed/cancelled)."""
         if token is not None and token.cancelled:
             return None
         self._dispatches.inc()
@@ -468,11 +503,9 @@ class GrisBackend(Backend):
         direct = provider.search(req, self.suffix)
         if direct is not None:
             self._observe_provider(provider, started, span)
-            if info is not None:
-                # Filter-aware providers answer outside the cache; the
-                # materialized view cannot vouch for those entries.
-                info["direct"] = True
-            return list(direct)
+            # Filter-aware providers answer outside the cache: a source
+            # the materialized view cannot vouch for (see _plan).
+            return _Source(direct)
         try:
             entries, produced_at = self.cache.get(provider, now)
         except ProviderError:
@@ -480,29 +513,26 @@ class GrisBackend(Backend):
             self._observe_provider(provider, started, span, failed=True)
             return None  # robustness: skip the failed source (§2.2)
         self._observe_provider(provider, started, span)
-        rebased = [
-            entry.with_dn(DN(entry.dn.rdns + self.suffix.rdns)) for entry in entries
-        ]
-        if info is not None:
-            info["versions"][provider.name] = produced_at
-        self._sync_view(provider.name, produced_at, rebased)
-        return rebased
+        served = self._served.get(provider.name)
+        if served is None or served.origin is not entries:
+            served = self._publish(provider.name, entries, produced_at)
+        return served
 
     def _probe_serial(
-        self, eligible: List[InformationProvider], req, now, trace, token, info=None
-    ) -> List[Optional[List[Entry]]]:
-        results: List[Optional[List[Entry]]] = []
+        self, eligible: List[InformationProvider], req, now, trace, token
+    ) -> List[Optional[_Source]]:
+        results: List[Optional[_Source]] = []
         for provider in eligible:
             if token is not None and token.cancelled:
                 self._cancelled_collects.inc()
                 break
-            results.append(self._probe_one(provider, req, now, trace, token, info))
+            results.append(self._probe_one(provider, req, now, trace, token))
         return results
 
     def _probe_parallel(
-        self, eligible: List[InformationProvider], req, now, trace, token, info=None
-    ) -> List[Optional[List[Entry]]]:
-        results: List[Optional[List[Entry]]] = [None] * len(eligible)
+        self, eligible: List[InformationProvider], req, now, trace, token
+    ) -> List[Optional[_Source]]:
+        results: List[Optional[_Source]] = [None] * len(eligible)
         remaining = [len(eligible)]
         lock = threading.Lock()
         done = threading.Event()
@@ -510,7 +540,7 @@ class GrisBackend(Backend):
         def probe_at(index: int, provider: InformationProvider) -> None:
             out = None
             try:
-                out = self._probe_one(provider, req, now, trace, token, info)
+                out = self._probe_one(provider, req, now, trace, token)
             finally:
                 with lock:
                     results[index] = out
@@ -535,9 +565,9 @@ class GrisBackend(Backend):
         return snapshot
 
     def snapshot(self, req: Optional[SearchRequest] = None) -> List[Entry]:
-        """The full merged view (diagnostics and polling subscriptions)."""
+        """The merged view (diagnostics); shared entries, read-only."""
         req = req or SearchRequest(base=str(self.suffix), scope=Scope.SUBTREE)
-        return list(self._collect(req).values())
+        return _scan(self._collect(req), req.base_dn(), req.scope, lambda e: True)
 
     # -- polling subscriptions ------------------------------------------------------
 
@@ -583,13 +613,10 @@ class _PollingSubscription:
         self._last: Dict[DN, Entry] = self._matching()
 
     def _matching(self) -> Dict[DN, Entry]:
-        base = self.req.base_dn()
+        sources = self.backend._collect(self.req)
         match = compile_filter(self.req.filter)
-        out: Dict[DN, Entry] = {}
-        for dn, entry in self.backend._collect(self.req).items():
-            if _in_scope(dn, base, self.req.scope) and match(entry):
-                out[dn] = entry
-        return out
+        found = _scan(sources, self.req.base_dn(), self.req.scope, match)
+        return {entry.dn: entry for entry in found}
 
     def start(self) -> None:
         self._timer = self.backend.clock.call_later(
@@ -608,20 +635,12 @@ class _PollingSubscription:
             if dn not in previous:
                 if self.change_types & ChangeType.ADD:
                     self.push(entry.copy(), ChangeType.ADD)
-            elif not _same_payload(previous[dn], entry):
+            elif previous[dn] is not entry and not entry.same_attrs(
+                previous[dn], ignoring=_STAMPS
+            ):  # the same shared object is the same generation: unchanged
                 if self.change_types & ChangeType.MODIFY:
                     self.push(entry.copy(), ChangeType.MODIFY)
         for dn, entry in previous.items():
             if dn not in current and self.change_types & ChangeType.DELETE:
                 self.push(entry.copy(), ChangeType.DELETE)
         self.start()
-
-
-def _same_payload(a: Entry, b: Entry) -> bool:
-    """Entry equality ignoring the currency-metadata stamps."""
-    strip = ("mds-timestamp", "mds-validto")
-    ca, cb = a.copy(), b.copy()
-    for attr in strip:
-        ca.remove_attr(attr)
-        cb.remove_attr(attr)
-    return ca == cb

@@ -23,13 +23,15 @@ class WireCache:
     """A shared cell caching one entry's encoded SearchResultEntry body.
 
     The DIT attaches a *fresh* cell to every stored post-image (the
-    :class:`~repro.ldap.storage.ChangeOp` choke point), and entry copies
-    share their source's cell — so every search result copied from the
+    :class:`~repro.ldap.storage.ChangeOp` choke point), the GRIS to
+    every entry of a provider snapshot's served form, and entry copies
+    share their source's cell — so every search result taken from the
     same unchanged stored entry resolves to the same cell, and the
     server encodes that entry once instead of once per client.
-    Invalidation is by replacement: a new post-image gets a new empty
-    cell, and local mutation of a copy drops the copy's reference, so a
-    stale body can never be observed through a live entry.
+    Invalidation is by replacement: a new post-image (or the next
+    provider refresh) gets a new empty cell, and local mutation of a
+    copy drops the copy's reference, so a stale body can never be
+    observed through a live entry.
     """
 
     __slots__ = ("body",)
@@ -59,7 +61,8 @@ class Entry:
         self.dn = DN.of(dn)
         self._attrs: Dict[str, AttributeValues] = {}
         # Encode-cache cell, attached by the DIT when this object is a
-        # stored post-image and propagated to full copies; None means
+        # stored post-image (by the GRIS when it is part of a served
+        # provider snapshot) and propagated to full copies; None means
         # "not served from a cacheable store" and is always safe.
         self._wire: Optional[WireCache] = None
         merged: Dict[str, object] = dict(attrs or {})
@@ -203,6 +206,14 @@ class Entry:
         if set(self._attrs) != set(other._attrs):
             return False
         return all(self._attrs[k] == other._attrs[k] for k in self._attrs)
+
+    def same_attrs(self, other: "Entry", ignoring: Iterable[str] = ()) -> bool:
+        """Attribute-map equality, skipping the normalized names in
+        *ignoring*; the DN is not compared and nothing is copied."""
+        mine = self._attrs.keys() - ignoring
+        return mine == other._attrs.keys() - ignoring and all(
+            self._attrs[k] == other._attrs[k] for k in mine
+        )
 
     def __repr__(self) -> str:
         return f"Entry({str(self.dn)!r}, {dict(self.items())!r})"

@@ -385,3 +385,37 @@ class TestGaugeHygiene:
         gris.search(req(), RequestContext())
         gauge = gris.metrics.get("gris.cache.age", {"provider": "p"})
         assert gauge is not None and gauge.value == 0.0
+
+    def test_remove_provider_unregisters_the_seconds_histogram(self):
+        gris = GrisBackend("o=O1", clock=Simulator())
+        gris.add_provider(
+            FunctionProvider("p", lambda: [Entry("cn=x", objectclass="thing", cn="x")], cache_ttl=60.0)
+        )
+        gris.search(req(), RequestContext())
+        labels = {"provider": "p"}
+        assert gris.metrics.get("gris.provider.seconds", labels).count == 1
+        assert "p" in gris._served
+        gris.remove_provider("p")
+        assert gris.metrics.get("gris.provider.seconds", labels) is None
+        assert not any(
+            name.startswith("gris.provider.seconds") for name in gris.metrics.snapshot()
+        )
+        assert "p" not in gris._served  # the served snapshot goes with it
+        assert gris.search(req(), RequestContext()).entries == []
+
+    def test_probes_do_not_look_the_histogram_up_per_request(self, monkeypatch):
+        gris = GrisBackend("o=O1", clock=Simulator())
+        gris.add_provider(
+            FunctionProvider("p", lambda: [Entry("cn=x", objectclass="thing", cn="x")], cache_ttl=60.0)
+        )
+        lookups = []
+        original = gris.metrics.histogram
+        monkeypatch.setattr(
+            gris.metrics,
+            "histogram",
+            lambda name, *a, **kw: lookups.append(name) or original(name, *a, **kw),
+        )
+        for _ in range(3):
+            assert len(gris.search(req(), RequestContext()).entries) == 1
+        assert lookups == []
+        assert gris.metrics.get("gris.provider.seconds", {"provider": "p"}).count == 3
