@@ -394,20 +394,14 @@ def populate_gris(
     dit: DIT,
     n_hosts: int,
     children_per_host: int = 20,
-    first_host: int = 0,
 ) -> int:
     """The MDS2-shaped dataset: hosts under ``o=Grid``, each with
     per-device/per-queue children that repeat the host's ``hn`` so an
     indexed equality search returns the whole host group.
-
-    ``first_host`` offsets the host numbering so several GRIS can hold
-    disjoint slices of one VO (the chained-aggregate shape benchmark
-    E23 measures) instead of identical replicas that de-duplicate away
-    at the GIIS.
     """
     dit.add(Entry("o=Grid", objectclass="organization", o="Grid"))
     total = 1
-    for h in range(first_host, first_host + n_hosts):
+    for h in range(n_hosts):
         hn = f"host{h}"
         dit.add(
             Entry(
@@ -444,15 +438,11 @@ class VoTestbed:
     """
 
     def __init__(self, giis_port: int, gris_ports: List[int], closers,
-                 metrics_urls: Optional[List[str]] = None,
-                 giis_backend: Optional[GiisBackend] = None):
+                 metrics_urls: Optional[List[str]] = None):
         self.giis_port = giis_port
         self.gris_ports = gris_ports
         self._closers = closers
         self.metrics_urls = metrics_urls or []
-        # The front-end backend itself, for counter assertions in the
-        # benchmarks (giis.relay.entries etc.).
-        self.giis_backend = giis_backend
 
     @property
     def ldap_specs(self) -> List[str]:
@@ -496,11 +486,8 @@ def build_vo(
     children_per_host: int = 20,
     transport: str = "reactor",
     workers: int = 4,
-    encode_cache: bool = True,
     monitor: bool = False,
     metrics_interval: float = 0.5,
-    relay: bool = True,
-    disjoint_hosts: bool = False,
 ) -> VoTestbed:
     closers = []
     clock = WallClock()
@@ -509,10 +496,7 @@ def build_vo(
     gris_metrics_urls: List[str] = []
     for g in range(n_gris):
         dit = DIT(index_attrs=["hn"])
-        populate_gris(
-            dit, hosts_per_gris, children_per_host,
-            first_host=g * hosts_per_gris if disjoint_hosts else 0,
-        )
+        populate_gris(dit, hosts_per_gris, children_per_host)
         backend = DitBackend(dit)
         metrics = recorder = health = None
         if monitor:
@@ -526,7 +510,7 @@ def build_vo(
         )
         server = LdapServer(
             backend, clock=clock, executor=executor,
-            encode_cache=encode_cache, metrics=metrics, name=f"gris{g}",
+            metrics=metrics, name=f"gris{g}",
         )
         endpoint = make_endpoint(transport, metrics=metrics)
         port = endpoint.listen(0, server.handle_connection)
@@ -553,7 +537,6 @@ def build_vo(
         connector=lambda url: chain_endpoint.connect((url.host, url.port)),
         child_timeout=30.0,
         metrics=front_metrics,
-        relay=relay,
     )
     closers.append(giis.shutdown)
     now = clock.now()
@@ -589,10 +572,7 @@ def build_vo(
         metrics_urls.extend(gris_metrics_urls)
     closers.append(front_executor.shutdown)
     closers.append(front.close)
-    return VoTestbed(
-        giis_port, gris_ports, closers,
-        metrics_urls=metrics_urls, giis_backend=giis,
-    )
+    return VoTestbed(giis_port, gris_ports, closers, metrics_urls=metrics_urls)
 
 
 # ---------------------------------------------------------------------------

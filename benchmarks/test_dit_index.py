@@ -79,7 +79,8 @@ def test_dit_index(benchmark, report):
             assert idx_n == scan_n == len(
                 indexed.search("o=Grid", Scope.SUBTREE, filt)
             )
-            assert indexed.stats_planned and scan.stats_scanned
+            assert indexed.metrics.counter("ldap.search.planned").value
+            assert scan.metrics.counter("ldap.search.scanned").value
             rows.append((n, idx_n, scan_s, idx_s, scan_s / idx_s))
         return rows
 

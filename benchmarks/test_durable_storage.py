@@ -126,7 +126,7 @@ def restart_run():
             "o=Grid", Scope.SUBTREE, parse_filter("(cpu=sparc)")
         )
         first_search_s = time.perf_counter() - started
-        assert warm.stats_planned == 1
+        assert warm.metrics.counter("ldap.search.planned").value == 1
         warm.storage.close()
 
         from repro.ldap.storage import entry_from_record, entry_to_record

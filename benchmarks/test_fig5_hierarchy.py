@@ -71,10 +71,10 @@ def run_hierarchy(seed=5):
     ]
 
     # name-scoped search: only O1's subtree is touched
-    c2_before = center2.backend.stats_chained
+    c2_before = center2.backend.metrics.counter("giis.chained").value
     out = measure("scoped to O1", "o=O1, o=Grid", "(objectclass=computer)")
     assert len(out.entries) == 3
-    assert center2.backend.stats_chained == c2_before  # O2 never consulted
+    assert center2.backend.metrics.counter("giis.chained").value == c2_before  # O2 never consulted
 
     # going straight to a center directory works too
     direct = tb.client("user", center1)

@@ -1,33 +1,30 @@
-"""E21 — wire-path fast lanes under MDS2-style load.
+"""E21 — the wire path under MDS2-style load.
 
-The PR-8 fast lanes (zero-copy BER decode, interned DN parsing, cached
-entry encoding) only matter if they move the numbers the MDS studies
-cared about: search throughput and tail latency under hundreds of
-concurrent users.  This bench drives the :mod:`loadgen` harness against
+The wire-path fast lanes (zero-copy BER decode, interned DN parsing,
+cached entry encoding) only matter if they move the numbers the MDS
+studies cared about: search throughput and tail latency under hundreds
+of concurrent users.  This bench drives the :mod:`loadgen` harness
+against
 
-* a single GRIS at 1k/10k entries × 50/500 closed-loop users, fast
-  lanes on vs off (off = ``encode_cache=False`` + DN intern cache
-  drained — the pre-PR service path; the zero-copy decoder is active
-  in both, its equivalence being covered by tests/test_fastpath.py);
+* a single GRIS at 1k/10k entries × 50/500 closed-loop users;
 * the same GRIS under a paced open-loop arrival process;
 * M GRIS behind a GIIS front end, the Figure-5 hierarchy.
 
 Client-observed percentiles are cross-checked against server-side
-``ldap.search`` span durations (PR-4 tracing) and the server metrics
-registry (PR-1): codec frame counts, encode-cache hit rates, DN-cache
-hit rates all land in the report.
+``ldap.search`` span durations and the server metrics registry: codec
+frame counts, encode-cache hit rates, DN-cache hit rates all land in
+the report.
 
-Set ``E21_QUICK=1`` for the CI smoke ladder.  Full runs write
-machine-readable results to ``BENCH_E21.json`` at the repo root,
-including the baseline numbers the ≥1.5x acceptance gate compares
-against.
+Set ``E21_QUICK=1`` for the CI smoke ladder.  ``BENCH_E21.json`` at the
+repo root is the historical lanes-on-vs-off record (the off lanes were
+constructor switches, since deleted); comparing two commits is
+``benchmarks/gridbench``'s job, so this run writes no artifact.
 """
 
 import sys
 
 sys.path.insert(0, __file__.rsplit("/", 1)[0])
 
-import json
 import os
 import pathlib
 import subprocess
@@ -36,7 +33,7 @@ import time
 from loadgen import Workload, build_vo, closed_loop, open_loop, populate_gris
 from repro.ldap.backend import DitBackend
 from repro.ldap.dit import DIT, Scope
-from repro.ldap.dn import configure_intern_cache, intern_cache_stats
+from repro.ldap.dn import intern_cache_stats
 from repro.ldap.executor import RequestExecutor
 from repro.ldap.server import LdapServer
 from repro.net import make_endpoint
@@ -74,7 +71,7 @@ def host_workload(n_hosts: int) -> Workload:
 class Gris:
     """One GRIS on the reactor with metrics + sampled tracing wired."""
 
-    def __init__(self, n_hosts: int, fast: bool):
+    def __init__(self, n_hosts: int):
         self.dit = DIT(index_attrs=["hn"])
         self.entries = populate_gris(self.dit, n_hosts, CHILDREN_PER_HOST)
         self.metrics = MetricsRegistry()
@@ -88,7 +85,6 @@ class Gris:
             executor=self.executor,
             metrics=self.metrics,
             tracer=self.tracer,
-            encode_cache=fast,
         )
         self.endpoint = make_endpoint("reactor")
         self.port = self.endpoint.listen(0, self.server.handle_connection)
@@ -126,14 +122,10 @@ class Gris:
         self.executor.shutdown()
 
 
-def run_single_gris(entries: int, users: int, requests: int, fast: bool):
+def run_single_gris(entries: int, users: int, requests: int):
     """One closed-loop run; returns (stats summary + server-side view)."""
     n_hosts = entries // (CHILDREN_PER_HOST + 1)
-    base_capacity = intern_cache_stats()["capacity"]
-    configure_intern_cache(0)  # drain so runs never share warm state
-    if fast:
-        configure_intern_cache(base_capacity or 4096)
-    gris = Gris(n_hosts, fast)
+    gris = Gris(n_hosts)
     try:
         workload = host_workload(n_hosts)
         stats = closed_loop(
@@ -142,11 +134,9 @@ def run_single_gris(entries: int, users: int, requests: int, fast: bool):
         out = stats.summary()
         out["server_span_p50_ms"] = gris.span_p50_ms()
         out["server_metrics"] = gris.metric_sample()
-        return workload, out
+        return out
     finally:
         gris.close()
-        configure_intern_cache(0)
-        configure_intern_cache(base_capacity)
 
 
 def git_describe() -> str:
@@ -164,30 +154,19 @@ def git_describe() -> str:
 
 
 def test_loadgen_fast_lanes(report):
-    runs = []
-    for entries, users, requests in GRID:
-        workload, base = run_single_gris(entries, users, requests, fast=False)
-        _, fastr = run_single_gris(entries, users, requests, fast=True)
-        speedup = (
-            round(fastr["throughput_rps"] / base["throughput_rps"], 2)
-            if base["throughput_rps"]
-            else 0.0
-        )
-        runs.append(
-            {
-                "workload": workload.describe(),
-                "entries": entries,
-                "users": users,
-                "requests_per_user": requests,
-                "baseline": base,
-                "fastpath": fastr,
-                "speedup": speedup,
-            }
-        )
+    runs = [
+        {
+            "entries": entries,
+            "users": users,
+            "requests_per_user": requests,
+            "summary": run_single_gris(entries, users, requests),
+        }
+        for entries, users, requests in GRID
+    ]
 
-    # open loop: paced arrivals against the fast-lane server
+    # open loop: paced arrivals against the same server shape
     n_hosts = GRID[-1][0] // (CHILDREN_PER_HOST + 1)
-    gris = Gris(n_hosts, fast=True)
+    gris = Gris(n_hosts)
     try:
         open_stats = open_loop(
             gris.connect,
@@ -225,30 +204,24 @@ def test_loadgen_fast_lanes(report):
         (
             r["entries"],
             r["users"],
-            label,
-            side["throughput_rps"],
-            side["percentiles"]["p50_ms"],
-            side["percentiles"]["p95_ms"],
-            side["percentiles"]["p99_ms"],
-            side["errors"],
+            r["summary"]["throughput_rps"],
+            r["summary"]["percentiles"]["p50_ms"],
+            r["summary"]["percentiles"]["p95_ms"],
+            r["summary"]["percentiles"]["p99_ms"],
+            r["summary"]["server_span_p50_ms"],
+            r["summary"]["errors"],
         )
         for r in runs
-        for label, side in (("baseline", r["baseline"]), ("fast", r["fastpath"]))
-    ]
-    speed_rows = [
-        (r["entries"], r["users"], f"{r['speedup']}x") for r in runs
     ]
     text = (
-        f"closed-loop host-group searches, fast lanes off vs on "
+        f"closed-loop host-group searches "
         f"({'quick mode' if QUICK else 'full mode'})\n"
         + fmt_table(
-            ["entries", "users", "lanes", "req/s", "p50 ms", "p95 ms",
-             "p99 ms", "errors"],
+            ["entries", "users", "req/s", "p50 ms", "p95 ms", "p99 ms",
+             "server span p50 ms", "errors"],
             rows,
         )
-        + "\n\nthroughput gain from the fast lanes\n"
-        + fmt_table(["entries", "users", "speedup"], speed_rows)
-        + "\n\nopen loop (paced arrivals, fast lanes on): "
+        + "\n\nopen loop (paced arrivals): "
         + f"offered {open_stats.offered_rps} req/s, served "
         + f"{open_stats.throughput_rps} req/s, "
         + f"p99 {open_stats.percentiles()['p99_ms']} ms\n"
@@ -262,41 +235,14 @@ def test_loadgen_fast_lanes(report):
     )
     report("E21_loadgen_fast_lanes", text)
 
-    results = {
-        "experiment": "E21",
-        "quick": QUICK,
-        "git": git_describe(),
-        "children_per_host": CHILDREN_PER_HOST,
-        "runs": runs,
-        "open_loop": open_stats.summary(),
-        "giis_topology": {
-            "gris": n_gris,
-            **vo_stats.summary(),
-        },
-    }
-    if not QUICK:
-        out = pathlib.Path(__file__).parents[1] / "BENCH_E21.json"
-        out.write_text(json.dumps(results, indent=2) + "\n")
-
     # Every virtual user completed its full request budget, error-free.
     for r in runs:
-        for side in ("baseline", "fastpath"):
-            assert r[side]["errors"] == 0, r
-            assert r[side]["completed"] == r["users"] * r["requests_per_user"], r
+        assert r["summary"]["errors"] == 0, r
+        assert r["summary"]["completed"] == r["users"] * r["requests_per_user"], r
     assert vo_stats.errors == 0
     assert open_stats.completed > 0 and open_stats.errors == 0
 
-    # The fast lanes actually engaged: cache hits dominate on the fast
-    # side, and the baseline side never touched the encode cache.
+    # The encode cache actually engaged: hits dominate.
     for r in runs:
-        fast_m = r["fastpath"]["server_metrics"]
-        base_m = r["baseline"]["server_metrics"]
-        assert fast_m["encode_hits"] > fast_m["encode_misses"], fast_m
-        assert base_m["encode_hits"] == 0 and base_m["encode_misses"] == 0
-
-    # Acceptance gate: ≥1.5x throughput on the big closed-loop rung.
-    if not QUICK:
-        big = [r for r in runs if r["entries"] >= 10000 and r["users"] >= 500]
-        assert big and big[0]["speedup"] >= 1.5, [
-            (r["entries"], r["users"], r["speedup"]) for r in runs
-        ]
+        served = r["summary"]["server_metrics"]
+        assert served["encode_hits"] > served["encode_misses"], served

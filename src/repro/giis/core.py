@@ -41,13 +41,13 @@ from ..ldap.backend import (
     SearchOutcome,
     Subscription,
     _in_scope,
+    stream_outcome,
 )
 from ..ldap.attributes import CASE_EXACT
-from ..ldap.executor import CancelToken
 from ..ldap.filter import compile_filter
 from ..ldap.client import LdapClient, SearchResult
 from ..ldap.pool import LdapClientPool
-from ..ldap.dn import DN, RDN
+from ..ldap.dn import DN, DNError, RDN
 from ..ldap.index import AttributeIndex
 from ..ldap.entry import Entry
 from ..ldap.protocol import (
@@ -252,17 +252,10 @@ class GiisBackend(Backend):
         index_attrs: Iterable[str] = (),
         pool_size: int = 2,
         storage: Optional[StorageEngine] = None,
-        relay: bool = True,
     ):
         if mode not in ("chain", "referral"):
             raise ValueError(f"unknown GIIS mode {mode!r}")
         self.suffix = DN.of(suffix)
-        # Zero re-encode relay: when the front end marks a request
-        # transparent, streamed child frames are forwarded verbatim
-        # (message id re-stamped, entry bytes untouched).  Off switches
-        # the streaming path to decode-then-forward, for debugging and
-        # for A/B measurement (benchmark E23).
-        self.relay = relay
         self.clock = clock
         self.connector = connector
         self.url = url
@@ -280,8 +273,7 @@ class GiisBackend(Backend):
             raise ValueError("max_query_cache must be >= 1")
         self.max_query_cache = max_query_cache
         self.tracer = tracer
-        # Chaining fan-out instrumentation; the stats_* names below are
-        # kept as read-only compatibility views over these counters.
+        # Chaining fan-out instrumentation.
         self.metrics = metrics or MetricsRegistry()
         self._chained = self.metrics.counter("giis.chained")
         self._child_errors = self.metrics.counter("giis.child.errors")
@@ -323,8 +315,11 @@ class GiisBackend(Backend):
             self._dial_child, size=pool_size, metrics=self.metrics
         )
         # LRU over query outcomes: most-recently-hit keys live at the
-        # tail, eviction pops the head.
+        # tail, eviction pops the head.  Lookups run on executor
+        # workers, stores on child receive threads and clears on the
+        # GRRP path, so every access holds the lock.
         self._query_cache: "OrderedDict[Tuple, _QueryCacheSlot]" = OrderedDict()
+        self._query_cache_lock = threading.Lock()
         self._subs: Dict[int, Tuple[SearchRequest, int, ChangeCallback]] = {}
         self._next_sub = 0
         # Durable registration state: every membership change is
@@ -343,28 +338,6 @@ class GiisBackend(Backend):
         if self.storage is not None:
             self._recover_registrations()
 
-    # Compatibility views over the registry-backed counters.
-
-    @property
-    def stats_chained(self) -> int:
-        return int(self._chained.value)
-
-    @property
-    def stats_child_errors(self) -> int:
-        return int(self._child_errors.value)
-
-    @property
-    def stats_child_timeouts(self) -> int:
-        return int(self._child_timeouts.value)
-
-    @property
-    def stats_cache_hits(self) -> int:
-        return int(self._qcache_hits.value)
-
-    @property
-    def stats_depth_limited(self) -> int:
-        return int(self._depth_limited.value)
-
     # -- index plumbing --------------------------------------------------------
 
     def add_index(self, index: GiisIndex) -> None:
@@ -372,7 +345,7 @@ class GiisBackend(Backend):
         index.attach(self)
 
     def _fan_register(self, registration: Registration) -> None:
-        self._query_cache.clear()
+        self._clear_query_cache()
         self._reg_index.on_register(registration)
         for index in self.indexes:
             index.on_register(registration)
@@ -380,7 +353,7 @@ class GiisBackend(Backend):
         self._notify_subs(self._registration_entry(registration), ChangeType.ADD)
 
     def _fan_expire(self, registration: Registration) -> None:
-        self._query_cache.clear()
+        self._clear_query_cache()
         self._reg_index.on_expire(registration)
         for index in self.indexes:
             index.on_expire(registration)
@@ -388,7 +361,7 @@ class GiisBackend(Backend):
         self._notify_subs(self._registration_entry(registration), ChangeType.DELETE)
 
     def _fan_unregister(self, registration: Registration) -> None:
-        self._query_cache.clear()
+        self._clear_query_cache()
         self._reg_index.on_unregister(registration)
         for index in self.indexes:
             index.on_unregister(registration)
@@ -563,9 +536,8 @@ class GiisBackend(Backend):
 
     # -- search handling -------------------------------------------------------------
 
-    def _targets(self, req: SearchRequest) -> List[Registration]:
-        """Registrations whose advertised namespace intersects the query."""
-        base = req.base_dn()
+    def _targets(self, base: DN) -> List[Registration]:
+        """Registrations whose advertised namespace intersects *base*."""
         active = self.registry.active()
         if len(self._reg_index) != len(active):
             # Registrations that bypassed the hook path (tests poking the
@@ -579,120 +551,6 @@ class GiisBackend(Backend):
     def naming_contexts(self):
         return [str(self.suffix)]
 
-    def search(self, req: SearchRequest, ctx: RequestContext) -> SearchOutcome:
-        """Synchronous shim: sees only the local view (no chaining)."""
-        return self._local_outcome(req)
-
-    def _local_outcome(self, req: SearchRequest) -> SearchOutcome:
-        base = req.base_dn()
-        match = compile_filter(req.filter)
-        entries = [
-            e
-            for e in self.local_entries()
-            if _in_scope(e.dn, base, req.scope) and match(e)
-        ]
-        return SearchOutcome(entries=entries)
-
-    def submit_search(
-        self,
-        req: SearchRequest,
-        ctx: RequestContext,
-        done: Callable[[SearchOutcome], None],
-    ) -> SearchHandle:
-        token = ctx.token if ctx.token is not None else CancelToken()
-        handle = SearchHandle(token)
-        base = req.base_dn()
-        if not (base.is_within(self.suffix) or self.suffix.is_within(base)):
-            done(
-                SearchOutcome(
-                    result=LdapResult(
-                        ResultCode.NO_SUCH_OBJECT, matched_dn=str(self.suffix)
-                    )
-                )
-            )
-            return handle
-
-        trace = getattr(ctx, "trace", None)
-        cache_key = None
-        if self.cache_ttl > 0:
-            cache_key = (str(base).lower(), int(req.scope), str(req.filter))
-            slot = self._query_cache.get(cache_key)
-            if (
-                slot is not None
-                and self.clock.now() - slot.created_at <= self.cache_ttl
-            ):
-                self._query_cache.move_to_end(cache_key)
-                self._qcache_hits.inc()
-                if trace is not None:
-                    trace.child("giis.cache", hit=True).finish()
-                done(_copy_outcome(slot.outcome))
-                return handle
-            self._qcache_misses.inc()
-            self._sweep_query_cache(self.clock.now())
-
-        targets = self._targets(req)
-        local = self._local_outcome(req)
-
-        if self.mode == "referral":
-            referrals = [
-                _child_url(registration) for registration in targets
-            ]
-            done(SearchOutcome(entries=local.entries, referrals=referrals))
-            return handle
-
-        depth = _read_chain_depth(ctx.controls)
-        if depth >= self.max_chain_depth:
-            # Cycle or pathological hierarchy: answer with the local
-            # view instead of recursing (partial results, §2.2).
-            self._depth_limited.inc()
-            done(local)
-            return handle
-
-        if self.connector is None or not targets:
-            done(local)
-            return handle
-
-        self._fanout.observe(len(targets))
-        chain_span = (
-            trace.child("giis.chain", fanout=len(targets))
-            if trace is not None
-            else None
-        )
-        collector = _Collector(
-            self,
-            req,
-            local,
-            len(targets),
-            done,
-            cache_key,
-            span=chain_span,
-            token=token,
-        )
-        # Abandon/Unbind/disconnect/deadline all land here: stop waiting
-        # on children, cancel their timers, Abandon whatever is still in
-        # flight, and never call done().
-        token.on_cancel(collector.abort)
-        # The parent's size budget is forwarded only when the front end
-        # serves child results verbatim (transparent policy, no
-        # projection) and the outcome is not headed for the query cache
-        # (a truncated outcome must not satisfy later, larger queries —
-        # the cache key carries no size limit).  Sorted-merge prefix
-        # argument: any entry in the global first-*limit* lies in the
-        # first *limit* of its own child, so per-child truncation never
-        # changes the parent's answer.
-        budget = (
-            req.size_limit
-            if getattr(ctx, "transparent", False) and cache_key is None
-            else 0
-        )
-        for registration in targets:
-            if collector.finished:
-                break  # aborted while fanning out
-            self._chain_to(
-                registration, req, collector, depth + 1, chain_span, budget
-            )
-        return handle
-
     def submit_search_stream(
         self,
         req: SearchRequest,
@@ -700,30 +558,38 @@ class GiisBackend(Backend):
         on_entry: Callable[[object], None],
         on_done: Callable[[SearchOutcome], None],
     ) -> SearchHandle:
-        """Chaining with per-entry delivery — the zero re-encode relay.
+        """Answer one search: the local view, then every chained child.
 
-        Child answers are forwarded to *on_entry* as they arrive instead
-        of being buffered, merged, and sorted.  When the front end
-        declared the request transparent (``ctx.transparent``) and
-        :attr:`relay` is on, streamed child frames are forwarded as
-        undecoded :class:`~repro.ldap.protocol.RawEntry` objects: the
-        parent re-stamps the message id and never decodes or re-encodes
-        the entry.  Otherwise each frame is decoded once and handed over
-        as an :class:`Entry` for the front end to filter and project.
+        The local view (suffix, self-monitor and registration entries)
+        streams first, on the calling thread.  In chain mode each
+        registered provider whose namespace intersects the base is then
+        searched and its answer forwarded as it arrives, first writer
+        winning on a DN seen twice; ``on_done`` fires once the last
+        child has answered, failed or timed out (failures and timeouts
+        cost only that child's entries, §2.2).  Referral mode, a request
+        at the chaining depth limit and a search no provider covers
+        conclude at once — with the providers' URLs as referrals in
+        referral mode.
 
-        Output order is arrival order (local view first); DN-level
-        de-duplication keeps the entry *set* identical to the buffered
-        merge.  Query caching needs the whole outcome in hand, so
-        ``cache_ttl > 0`` — like referral mode, which never chains —
-        falls back to the buffered path through the base adapter.
+        A transparent request (``ctx.transparent``) is relayed: child
+        frames are forwarded as undecoded
+        :class:`~repro.ldap.protocol.RawEntry` objects, and the parent's
+        size limit is forwarded to the children.  With a query cache
+        (``cache_ttl > 0``) every entry is decoded instead, the
+        concluded answer is stored, and later identical searches replay
+        it without touching a child.
         """
-        if self.mode != "chain" or self.cache_ttl > 0:
-            if self.mode == "chain" and getattr(ctx, "transparent", False):
-                self._relay_fallback.inc()
-            return super().submit_search_stream(req, ctx, on_entry, on_done)
-        token = ctx.token if ctx.token is not None else CancelToken()
+        token = ctx.token
         handle = SearchHandle(token)
-        base = req.base_dn()
+        try:
+            base = req.base_dn()
+        except DNError:
+            on_done(
+                SearchOutcome(
+                    result=LdapResult(ResultCode.PROTOCOL_ERROR, message="bad base DN")
+                )
+            )
+            return handle
         if not (base.is_within(self.suffix) or self.suffix.is_within(base)):
             on_done(
                 SearchOutcome(
@@ -734,72 +600,70 @@ class GiisBackend(Backend):
             )
             return handle
 
-        targets = self._targets(req)
-        local = self._local_outcome(req)
+        cache_key = None
+        if self.cache_ttl > 0:
+            cache_key = (str(base).lower(), int(req.scope), str(req.filter))
+            cached = self._cached_outcome(cache_key)
+            if cached is not None:
+                if ctx.trace is not None:
+                    ctx.trace.child("giis.cache", hit=True).finish()
+                return stream_outcome(cached, ctx, on_entry, on_done)
+
+        targets = self._targets(base)
+        match = compile_filter(req.filter)
+        local = SearchOutcome(
+            entries=[
+                e
+                for e in self.local_entries()
+                if _in_scope(e.dn, base, req.scope) and match(e)
+            ]
+        )
         depth = _read_chain_depth(ctx.controls)
-        chain = bool(targets) and self.connector is not None
-        if depth >= self.max_chain_depth:
+        chain = False
+        if self.mode == "referral":
+            local.referrals = [_child_url(registration) for registration in targets]
+        elif depth >= self.max_chain_depth:
             # Cycle or pathological hierarchy: answer with the local
             # view instead of recursing (partial results, §2.2).
             self._depth_limited.inc()
-            chain = False
-
+        else:
+            chain = bool(targets) and self.connector is not None
         if not chain:
-            for entry in local.entries:
-                if token.cancelled:
-                    return handle
-                on_entry(entry)
-            if not token.cancelled:
-                on_done(
-                    SearchOutcome(entries=[], referrals=list(local.referrals))
-                )
-            return handle
+            return stream_outcome(local, ctx, on_entry, on_done)
 
-        transparent = bool(getattr(ctx, "transparent", False))
-        relay = self.relay and transparent
-        if transparent and not relay:
-            self._relay_fallback.inc()
-        # Verbatim delivery means no parent-side projection or ACL can
-        # drop a child entry, so the parent's size budget is safe to
-        # forward; children at their budget answer sizeLimitExceeded,
-        # treated as partial success below.
-        budget = req.size_limit if transparent else 0
-        trace = getattr(ctx, "trace", None)
         self._fanout.observe(len(targets))
-        chain_span = (
-            trace.child("giis.chain", fanout=len(targets), relay=relay)
-            if trace is not None
-            else None
-        )
         collector = _StreamCollector(
-            self,
-            len(targets),
-            on_entry,
-            on_done,
-            relay=relay,
-            span=chain_span,
-            token=token,
+            self, len(targets), on_entry, on_done, ctx, cache_key
         )
+        if ctx.transparent and not collector.relay:
+            self._relay_fallback.inc()
+        # Relaying means no parent-side projection or ACL can drop a
+        # child entry, so the parent's size budget is safe to forward;
+        # children at their budget answer sizeLimitExceeded, treated as
+        # partial success.  A caching GIIS never forwards it: a
+        # truncated answer must not satisfy later, larger queries (the
+        # cache key carries no size limit).
+        budget = req.size_limit if collector.relay else 0
+        # Abandon/Unbind/disconnect/deadline/size limit all land here:
+        # stop waiting on children, cancel their timers, Abandon whatever
+        # is still in flight, and never call on_done.
         token.on_cancel(collector.abort)
         collector.start(local)
         for registration in targets:
             if collector.finished:
                 break  # aborted (or size budget met) while fanning out
-            self._chain_to_stream(
-                registration, req, collector, depth + 1, chain_span, budget
-            )
+            self._chain_to(registration, req, collector, depth + 1, budget)
         return handle
 
     def _chain_to(
         self,
         registration: Registration,
         req: SearchRequest,
-        collector: "_Collector",
-        depth: int = 1,
-        parent_span=None,
-        size_budget: int = 0,
-        on_entry: Optional[Callable[[RawEntry], None]] = None,
+        collector: "_StreamCollector",
+        depth: int,
+        size_budget: int,
     ) -> None:
+        """Search one child, streaming its frames into *collector*."""
         url = registration.service_url
         client = self._client_for(url)
         if client is None:
@@ -808,8 +672,8 @@ class GiisBackend(Backend):
             return
         self._chained.inc()
         span = (
-            parent_span.child("giis.child", url=url)
-            if parent_span is not None
+            collector.span.child("giis.child", url=url)
+            if collector.span is not None
             else None
         )
         started = self.clock.now()
@@ -858,7 +722,7 @@ class GiisBackend(Backend):
                 controls=(_chain_depth_control(depth),),
                 deadline=child_timeout,
                 trace=span,
-                on_entry=on_entry,
+                on_entry=lambda raw: collector.child_entry(url, raw),
             )
         except Exception:  # noqa: BLE001 - connection died under us
             timer.cancel()
@@ -869,27 +733,6 @@ class GiisBackend(Backend):
             collector.child_failed(url)
             return
         collector.own_child(url, client, msg_id)
-
-    def _chain_to_stream(
-        self,
-        registration: Registration,
-        req: SearchRequest,
-        collector: "_StreamCollector",
-        depth: int,
-        parent_span=None,
-        size_budget: int = 0,
-    ) -> None:
-        """Chain to one child with streamed (per-frame) delivery."""
-        url = registration.service_url
-        self._chain_to(
-            registration,
-            req,
-            collector,
-            depth,
-            parent_span,
-            size_budget,
-            on_entry=lambda raw: collector.child_entry(url, raw),
-        )
 
     def _client_for(self, service_url: str) -> Optional[LdapClient]:
         return self.pool.client_for(service_url)
@@ -931,35 +774,49 @@ class GiisBackend(Backend):
         if self.storage is not None:
             self.storage.close()
 
-    # -- query-cache hygiene ------------------------------------------------------------
+    # -- query cache --------------------------------------------------------------------
 
-    def _sweep_query_cache(self, now: float) -> None:
-        """Evict TTL-expired slots (membership changes clear wholesale).
+    def _cached_outcome(self, key) -> Optional[SearchOutcome]:
+        """A private copy of the live answer cached under *key*, or None.
 
-        Without this, distinct one-off queries accumulate dead slots
-        forever in a stable VO; the sweep runs on the miss path so the
-        hot hit path stays a single dict probe.
+        A miss also evicts TTL-expired slots (membership changes clear
+        wholesale): without that, distinct one-off queries accumulate
+        dead slots forever in a stable VO, and sweeping on the miss
+        path keeps the hit path a single dict probe.
         """
-        dead = [
-            key
-            for key, slot in self._query_cache.items()
-            if now - slot.created_at > self.cache_ttl
-        ]
-        for key in dead:
-            del self._query_cache[key]
+        now = self.clock.now()
+        with self._query_cache_lock:
+            slot = self._query_cache.get(key)
+            if slot is None or now - slot.created_at > self.cache_ttl:
+                self._qcache_misses.inc()
+                dead = [
+                    k
+                    for k, s in self._query_cache.items()
+                    if now - s.created_at > self.cache_ttl
+                ]
+                for k in dead:
+                    del self._query_cache[k]
+                return None
+            self._query_cache.move_to_end(key)
+            self._qcache_hits.inc()
+        return _copy_outcome(slot.outcome)
 
     def _store_query_result(self, key, slot: _QueryCacheSlot) -> None:
-        """Insert one cached outcome, holding the cache to max_query_cache.
+        """Cache one concluded answer, holding the cache to max_query_cache.
 
         The cache is an LRU: hits and (re)inserts move the key to the
-        tail, so eviction pops the least-recently-used head in O(1)
-        instead of min-scanning creation times.
+        tail, so eviction pops the least-recently-used head in O(1).
         """
-        self._query_cache[key] = slot
-        self._query_cache.move_to_end(key)
-        while len(self._query_cache) > self.max_query_cache:
-            self._query_cache.popitem(last=False)
-            self._qcache_evictions.inc()
+        with self._query_cache_lock:
+            self._query_cache[key] = slot
+            self._query_cache.move_to_end(key)
+            while len(self._query_cache) > self.max_query_cache:
+                self._query_cache.popitem(last=False)
+                self._qcache_evictions.inc()
+
+    def _clear_query_cache(self) -> None:
+        with self._query_cache_lock:
+            self._query_cache.clear()
 
     # -- subscriptions over the membership view -----------------------------------------
 
@@ -988,148 +845,19 @@ class GiisBackend(Backend):
             push(entry.copy(), change)
 
 
-class _Collector:
-    """Merges chained child results; calls done() exactly once.
-
-    Cancellation-aware: :meth:`abort` (wired to the request's
-    :class:`~repro.ldap.executor.CancelToken`) stops the fan-out early —
-    outstanding child timers are cancelled, late child answers are
-    dropped, and ``done`` is never invoked.
-    """
-
-    def __init__(
-        self,
-        giis: GiisBackend,
-        req: SearchRequest,
-        local: SearchOutcome,
-        pending: int,
-        done: Callable[[SearchOutcome], None],
-        cache_key,
-        span=None,
-        token: Optional[CancelToken] = None,
-    ):
-        self.giis = giis
-        self.req = req
-        self.done = done
-        self.cache_key = cache_key
-        self.span = span
-        self.token = token if token is not None else CancelToken()
-        self.pending = pending
-        self.finished = False
-        self.merged: Dict[DN, Entry] = {e.dn: e for e in local.entries}
-        self.referrals: List[str] = list(local.referrals)
-        self.truncated = False
-        self.responded: set = set()
-        self._timers: Dict[str, object] = {}
-        self._children: Dict[str, Tuple[LdapClient, int]] = {}
-
-    def own_timer(self, url: str, timer) -> None:
-        """Track one child's timeout timer so abort() can cancel it."""
-        if self.finished:
-            timer.cancel()
-        else:
-            self._timers[url] = timer
-
-    def own_child(self, url: str, client: LdapClient, msg_id: int) -> None:
-        """Track one in-flight child search so abort() can Abandon it."""
-        if self.finished and url not in self.responded:
-            self._abandon_child(url, client, msg_id)
-        else:
-            self._children[url] = (client, msg_id)
-
-    def _abandon_child(self, url: str, client: LdapClient, msg_id: int) -> None:
-        self.giis._child_abandoned.inc()
-        try:
-            client.abandon(msg_id)
-        except Exception:  # noqa: BLE001 - connection already gone
-            self.giis.pool.discard(url, client)
-
-    def abort(self) -> None:
-        if self.finished:
-            return
-        self.finished = True
-        self.giis._chain_cancelled.inc()
-        timers, self._timers = self._timers, {}
-        for timer in timers.values():
-            timer.cancel()
-        children, self._children = self._children, {}
-        for url, (client, msg_id) in children.items():
-            if url not in self.responded:
-                self._abandon_child(url, client, msg_id)
-        if self.span is not None:
-            self.span.tag("cancelled", self.token.reason or True).finish()
-
-    def child_done(self, url: str, result: SearchResult) -> None:
-        if url in self.responded:
-            return
-        self.responded.add(url)
-        self._children.pop(url, None)
-        if result.result.code == ResultCode.SIZE_LIMIT_EXCEEDED:
-            # Partial success: the child truncated (its forwarded size
-            # budget, or its own limits), so the merged view is partial
-            # and the final result must say so.
-            self.truncated = True
-        for entry in result.entries:
-            self.merged.setdefault(entry.dn, entry)
-        self.referrals.extend(result.referrals)
-        self._decrement()
-
-    def child_failed(self, url: str) -> None:
-        if url in self.responded:
-            return
-        self.responded.add(url)
-        self._children.pop(url, None)
-        self._decrement()
-
-    def child_timed_out(self, url: str) -> None:
-        if url in self.responded:
-            return
-        self.responded.add(url)
-        self.giis._child_timeouts.inc()
-        # The child is still grinding on a query nobody will read —
-        # tell it to stop before giving up the slot.
-        child = self._children.pop(url, None)
-        if child is not None:
-            self._abandon_child(url, *child)
-        self._decrement()
-
-    def _decrement(self) -> None:
-        if self.finished:
-            return
-        self.pending -= 1
-        if self.pending > 0:
-            return
-        self.finished = True
-        if self.span is not None:
-            self.span.finish()
-        entries = sorted(
-            self.merged.values(), key=lambda e: e.dn.sort_key
-        )
-        outcome = SearchOutcome(
-            entries=entries,
-            referrals=self.referrals,
-            result=(
-                LdapResult(ResultCode.SIZE_LIMIT_EXCEEDED)
-                if self.truncated
-                else LdapResult()
-            ),
-        )
-        if self.cache_key is not None:
-            self.giis._store_query_result(
-                self.cache_key,
-                _QueryCacheSlot(_copy_outcome(outcome), self.giis.clock.now()),
-            )
-        self.done(outcome)
-
-
 class _StreamCollector:
-    """Streams merged child results; calls on_done() exactly once.
+    """The merge behind one chained search.
 
-    The streaming counterpart of :class:`_Collector`: entries are
-    forwarded to the front end as they arrive — local view first, then
-    children in arrival order — instead of being buffered and sorted.
-    First writer wins on DN collisions, so the delivered entry *set*
-    matches the buffered merge.
+    Forwards entries to the front end as they arrive — local view
+    first, then children in arrival order — with the first writer
+    winning on a DN seen twice, and calls ``on_done`` exactly once, when
+    the last child has answered, failed or timed out.  :meth:`abort`
+    (wired to the request's :class:`~repro.ldap.executor.CancelToken`)
+    ends it early: outstanding child timers are cancelled, in-flight
+    child searches Abandoned, late answers dropped, and neither
+    callback fires again.  An answer headed for the query cache
+    (*cache_key*) is recorded as it is forwarded and stored on
+    conclusion, never on abort.
 
     Child connections deliver on independent receive threads, so every
     callback serializes under one lock — reentrant, because forwarding
@@ -1143,19 +871,27 @@ class _StreamCollector:
         pending: int,
         on_entry: Callable[[object], None],
         on_done: Callable[[SearchOutcome], None],
-        relay: bool,
-        span=None,
-        token: Optional[CancelToken] = None,
+        ctx: RequestContext,
+        cache_key,
     ):
         self.giis = giis
         self.on_entry = on_entry
         self.on_done = on_done
-        self.relay = relay
-        self.span = span
-        self.token = token if token is not None else CancelToken()
+        self.token = ctx.token
+        self.cache_key = cache_key
+        # Forward child frames undecoded?  Only when the front end
+        # serves them verbatim and they are not bound for the query
+        # cache, whose entries must be decoded.
+        self.relay = ctx.transparent and cache_key is None
+        self.span = (
+            ctx.trace.child("giis.chain", fanout=pending, relay=self.relay)
+            if ctx.trace is not None
+            else None
+        )
         self.pending = pending
         self.finished = False
         self.seen: Set[DN] = set()
+        self.recorded: List[Entry] = []  # copies bound for the query cache
         self.referrals: List[str] = []
         self.truncated = False
         self.responded: set = set()
@@ -1170,10 +906,10 @@ class _StreamCollector:
             for entry in local.entries:
                 if self.finished or self.token.cancelled:
                     return
-                self.seen.add(entry.dn)
-                self.on_entry(entry)
+                self._forward(entry)
 
     def own_timer(self, url: str, timer) -> None:
+        """Track one child's timeout timer so abort() can cancel it."""
         with self._lock:
             if self.finished:
                 timer.cancel()
@@ -1181,6 +917,7 @@ class _StreamCollector:
                 self._timers[url] = timer
 
     def own_child(self, url: str, client: LdapClient, msg_id: int) -> None:
+        """Track one in-flight child search so abort() can Abandon it."""
         with self._lock:
             if self.finished and url not in self.responded:
                 self._abandon_child(url, client, msg_id)
@@ -1214,22 +951,20 @@ class _StreamCollector:
         """Dedup one entry by DN and hand it to the front end.
 
         Caller holds the lock.  A relayed :class:`RawEntry` costs one
-        DN-peek parse; the decoded lane pays one full decode.
+        DN-peek parse; otherwise a child frame pays one full decode.
         """
-        if isinstance(item, RawEntry):
-            key = DN.parse(item.dn)
-            if key in self.seen:
-                return
-            self.seen.add(key)
+        raw = isinstance(item, RawEntry)
+        key = DN.parse(item.dn) if raw else item.dn
+        if key in self.seen:
+            return
+        self.seen.add(key)
+        if raw:
             if self.relay:
                 self.giis._relay_entries.inc()
-                self.on_entry(item)
             else:
-                self.on_entry(item.to_entry())
-            return
-        if item.dn in self.seen:
-            return
-        self.seen.add(item.dn)
+                item = item.to_entry()
+        if self.cache_key is not None:
+            self.recorded.append(item.copy())
         self.on_entry(item)
 
     def child_entry(self, url: str, item) -> None:
@@ -1247,16 +982,10 @@ class _StreamCollector:
             self._children.pop(url, None)
             if result.result.code == ResultCode.SIZE_LIMIT_EXCEEDED:
                 # Partial success (§2.2): the child truncated at its
-                # forwarded size budget, so the merged answer is partial
-                # and the final result must carry sizeLimitExceeded.
+                # forwarded size budget (or its own limits), so the
+                # merged answer is partial and the final result must
+                # carry sizeLimitExceeded.
                 self.truncated = True
-            # Streamed searches conclude with an empty entry list; a
-            # buffered child answer (if any) merges through the same
-            # dedup lane.
-            for entry in result.entries:
-                if self.finished:
-                    break
-                self._forward(entry)
             self.referrals.extend(result.referrals)
             self._decrement()
 
@@ -1274,6 +1003,8 @@ class _StreamCollector:
                 return
             self.responded.add(url)
             self.giis._child_timeouts.inc()
+            # The child is still grinding on a query nobody will read —
+            # tell it to stop before giving up the slot.
             child = self._children.pop(url, None)
             if child is not None:
                 self._abandon_child(url, *child)
@@ -1288,17 +1019,20 @@ class _StreamCollector:
         self.finished = True
         if self.span is not None:
             self.span.finish()
-        self.on_done(
-            SearchOutcome(
-                entries=[],
-                referrals=self.referrals,
-                result=(
-                    LdapResult(ResultCode.SIZE_LIMIT_EXCEEDED)
-                    if self.truncated
-                    else LdapResult()
-                ),
-            )
+        outcome = SearchOutcome(
+            referrals=self.referrals,
+            result=(
+                LdapResult(ResultCode.SIZE_LIMIT_EXCEEDED)
+                if self.truncated
+                else LdapResult()
+            ),
         )
+        if self.cache_key is not None:
+            cached = SearchOutcome(self.recorded, list(self.referrals), outcome.result)
+            self.giis._store_query_result(
+                self.cache_key, _QueryCacheSlot(cached, self.giis.clock.now())
+            )
+        self.on_done(outcome)
 
 
 def _child_url(registration: Registration) -> str:

@@ -100,8 +100,7 @@ class SoftStateRegistry:
         self._records: Dict[str, Registration] = {}
         self._timer: Optional[TimerHandle] = None
         # Accept/reject/expire rates live on the metrics registry so a
-        # cn=monitor subtree can publish soft-state churn; the stats_*
-        # attributes below remain as read-only compatibility views.
+        # cn=monitor subtree can publish soft-state churn.
         self.metrics = metrics or MetricsRegistry()
         self._accepted = self.metrics.counter("grrp.accepted")
         self._rejected = self.metrics.counter("grrp.rejected")
@@ -115,20 +114,6 @@ class SoftStateRegistry:
         """Unexpired records without the sweeping side effect."""
         now = self.clock.now()
         return [r for r in self._records.values() if not self._expired(r, now)]
-
-    # Compatibility views over the registry-backed counters.
-
-    @property
-    def stats_accepted(self) -> int:
-        return int(self._accepted.value)
-
-    @property
-    def stats_rejected(self) -> int:
-        return int(self._rejected.value)
-
-    @property
-    def stats_expired(self) -> int:
-        return int(self._expired_c.value)
 
     # -- intake ----------------------------------------------------------------
 

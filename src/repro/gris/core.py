@@ -420,8 +420,7 @@ class GrisBackend(Backend):
                     ResultCode.NO_SUCH_OBJECT, matched_dn=str(self.suffix)
                 )
             )
-        trace = getattr(ctx, "trace", None)
-        span = trace.child("gris.collect") if trace is not None else None
+        span = ctx.trace.child("gris.collect") if ctx.trace is not None else None
         sources = self._collect(req, trace=span, token=ctx.token)
         if span is not None:
             span.tag("entries", sum(len(s.by_dn) for s in sources)).finish()

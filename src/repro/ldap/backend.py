@@ -33,6 +33,7 @@ from .protocol import (
     AddRequest,
     LdapResult,
     ModifyRequest,
+    RawEntry,
     ResultCode,
     SearchRequest,
 )
@@ -42,6 +43,7 @@ __all__ = [
     "RequestContext",
     "SearchOutcome",
     "SearchHandle",
+    "stream_outcome",
     "ChangeType",
     "Subscription",
     "Backend",
@@ -62,10 +64,11 @@ class RequestContext:
     # Per-request trace span (repro.obs.trace.Span) when the front end
     # runs with a tracer; backends open children off it for their hops.
     trace: Optional[object] = None
-    # Cancellation/deadline carrier set by the front end; backends check
-    # it to stop in-flight work on Abandon, Unbind, disconnect, or time
-    # limit expiry.
-    token: Optional[CancelToken] = None
+    # Cancellation/deadline carrier; backends check it to stop in-flight
+    # work on Abandon, Unbind, disconnect, or time limit expiry.  The
+    # front end supplies one per search; any other caller gets a fresh
+    # token nobody else can cancel.
+    token: CancelToken = field(default_factory=CancelToken)
     # True when the front end will serve this request's results verbatim
     # (transparent access policy, no attribute selection, not typesOnly):
     # streaming backends may then emit undecoded
@@ -76,12 +79,12 @@ class RequestContext:
 
     @property
     def cancelled(self) -> bool:
-        return self.token is not None and self.token.cancelled
+        return self.token.cancelled
 
 
 @dataclass
 class SearchOutcome:
-    """What a backend hands back for one search."""
+    """How a search ended; ``entries`` is empty when they were streamed."""
 
     entries: List[Entry] = field(default_factory=list)
     referrals: List[str] = field(default_factory=list)
@@ -118,11 +121,12 @@ ChangeCallback = Callable[[Entry, int], None]
 class SearchHandle:
     """Handle for one in-flight backend search.
 
-    Returned by :meth:`Backend.submit_search`; :meth:`cancel` aborts the
-    work via the request's :class:`~repro.ldap.executor.CancelToken`
-    (a GIIS stops waiting on chained children, a GRIS stops dispatching
-    providers).  After cancellation the completion callback may never
-    fire — cancellers must not wait for it.
+    Returned by :meth:`Backend.submit_search_stream`; :meth:`cancel`
+    aborts the work via the request's
+    :class:`~repro.ldap.executor.CancelToken` (a GIIS stops waiting on
+    chained children, a GRIS stops dispatching providers).  After
+    cancellation neither callback fires again — cancellers must not
+    wait for ``on_done``.
     """
 
     __slots__ = ("token",)
@@ -138,50 +142,47 @@ class SearchHandle:
         self.token.cancel(reason)
 
 
+def stream_outcome(
+    outcome: SearchOutcome,
+    ctx: RequestContext,
+    on_entry: Callable[[object], None],
+    on_done: Callable[[SearchOutcome], None],
+) -> SearchHandle:
+    """Deliver an answer already in hand through the stream contract,
+    on the calling thread; a cancelled ``ctx.token`` stops delivery."""
+    token = ctx.token
+    for entry in outcome.entries:
+        if token.cancelled:
+            break
+        on_entry(entry)
+    if not token.cancelled:
+        on_done(SearchOutcome(referrals=outcome.referrals, result=outcome.result))
+    return SearchHandle(token)
+
+
 class Backend:
     """Interface every server backend implements.
 
-    The search path is async-first: the front end always drives
-    :meth:`submit_search`, which invokes its completion callback when
-    the outcome is ready (synchronously for local backends, later for
-    ones that gather results from *remote* services — the GIIS chaining
-    to its registered providers, §10.4).  Local backends implement the
-    synchronous :meth:`_search_impl` hook; remote ones override
-    :meth:`submit_search` itself and must honor ``ctx.token``.
-
-    :meth:`search` is a thin synchronous shim over :meth:`submit_search`
-    for tests and in-process callers.
+    :meth:`submit_search_stream` is the one search contract: the front
+    end, every router and every chaining parent call it and nothing
+    else.  A backend that answers from local state implements the
+    synchronous :meth:`_search_impl` hook and inherits a stream that
+    runs it on the calling thread; one that gathers results from
+    *remote* services (the GIIS chaining to its registered providers,
+    §10.4) implements :meth:`submit_search_stream` itself.
 
     The default write/subscribe implementations refuse, so read-only
     information providers only implement the search hook.
     """
 
     def _search_impl(self, req: SearchRequest, ctx: RequestContext) -> SearchOutcome:
-        """Synchronous search hook for local backends."""
+        """The whole answer at once, for the default stream to deliver;
+        callers go through :meth:`submit_search_stream`."""
         raise NotImplementedError
 
     def naming_contexts(self) -> List[str]:
         """Suffixes this backend serves (advertised in the root DSE)."""
         return []
-
-    def submit_search(
-        self,
-        req: SearchRequest,
-        ctx: RequestContext,
-        on_done: Callable[[SearchOutcome], None],
-    ) -> SearchHandle:
-        """Start one search; *on_done* receives the single outcome.
-
-        The default runs :meth:`_search_impl` on the calling thread and
-        completes immediately; a cancelled token suppresses the callback
-        (the requester has already gone away).
-        """
-        token = ctx.token if ctx.token is not None else CancelToken()
-        handle = SearchHandle(token)
-        outcome = self._search_impl(req, ctx)
-        if not token.cancelled:
-            on_done(outcome)
-        return handle
 
     def submit_search_stream(
         self,
@@ -192,59 +193,50 @@ class Backend:
     ) -> SearchHandle:
         """Start one search, delivering results incrementally.
 
-        *on_entry* fires once per result — an :class:`~.entry.Entry`, or
-        a :class:`~repro.ldap.protocol.RawEntry` when the backend relays
-        undecoded child frames and ``ctx.transparent`` allows it — and
-        *on_done* fires exactly once afterwards with the terminal
-        outcome, whose ``entries`` list is empty (everything already
-        streamed).  Cancelling ``ctx.token`` stops delivery; after
-        cancellation neither callback may fire again.  Deliveries are
-        serialized: a backend gathering results on several threads must
-        never invoke the callbacks concurrently.
+        Guarantees every implementation gives its caller:
 
-        The default adapts the buffered :meth:`submit_search` by
-        replaying its outcome, so local backends get streaming for free;
-        backends that gather results remotely (the GIIS) override this
-        natively and shim the buffered API over it instead.
+        * *on_entry* fires once per result — an :class:`~.entry.Entry`,
+          or a :class:`~repro.ldap.protocol.RawEntry` (an undecoded
+          child frame) only when ``ctx.transparent`` allows it;
+        * *on_done* fires exactly once, after the last entry, with the
+          terminal outcome: result code and referrals, ``entries``
+          empty.  It may fire before this method returns (local
+          backends) or later on another thread (remote ones);
+        * callbacks are serialized — a backend gathering results on
+          several threads never invokes them concurrently;
+        * cancelling ``ctx.token`` stops delivery: neither callback
+          fires afterwards, and in-flight remote work is abandoned.
         """
-
-        def replay(outcome: SearchOutcome) -> None:
-            token = ctx.token
-            for entry in outcome.entries:
-                if token is not None and token.cancelled:
-                    return
-                on_entry(entry)
-            if token is not None and token.cancelled:
-                return
-            on_done(
-                SearchOutcome(
-                    entries=[],
-                    referrals=outcome.referrals,
-                    result=outcome.result,
-                )
-            )
-
-        return self.submit_search(req, ctx, replay)
+        return stream_outcome(self._search_impl(req, ctx), ctx, on_entry, on_done)
 
     def search(self, req: SearchRequest, ctx: RequestContext) -> SearchOutcome:
-        """Synchronous shim over :meth:`submit_search`.
+        """Synchronous convenience: collect the stream into one outcome.
 
-        Only valid for backends that complete synchronously (anything
-        local); a backend with remote work in flight answers ``BUSY``
-        rather than blocking the caller.
+        Only a backend that concludes before
+        :meth:`submit_search_stream` returns can be read this way; one
+        with remote work still in flight is cancelled and answered
+        ``BUSY`` rather than blocking the caller.
         """
-        box: List[SearchOutcome] = []
-        handle = self.submit_search(req, ctx, box.append)
-        if not box:
-            handle.cancel("synchronous caller cannot wait")
+        entries: List[Entry] = []
+        done: List[SearchOutcome] = []
+        self.submit_search_stream(
+            req,
+            ctx,
+            lambda item: entries.append(
+                item.to_entry() if isinstance(item, RawEntry) else item
+            ),
+            done.append,
+        )
+        if not done:
+            ctx.token.cancel("synchronous caller cannot wait")
             return SearchOutcome(
                 result=LdapResult(
                     ResultCode.BUSY,
-                    message="backend did not complete synchronously; "
-                    "use submit_search",
+                    message="backend did not conclude synchronously; "
+                    "use submit_search_stream",
                 )
             )
-        return box[0]
+        return SearchOutcome(entries, done[0].referrals, done[0].result)
 
     def add(self, req: AddRequest, ctx: RequestContext) -> LdapResult:
         return LdapResult(ResultCode.UNWILLING_TO_PERFORM, message="read-only backend")

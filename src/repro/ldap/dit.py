@@ -220,14 +220,6 @@ class DIT:
         with self._lock:
             return self._index.sizes()
 
-    @property
-    def stats_planned(self) -> int:
-        return int(self._planned.value)
-
-    @property
-    def stats_scanned(self) -> int:
-        return int(self._scanned.value)
-
     # -- write ops -----------------------------------------------------------
     #
     # Each mutator performs its LDAP semantic checks, then normalizes

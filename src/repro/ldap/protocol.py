@@ -73,7 +73,7 @@ __all__ = [
     "encode_filter",
     "decode_filter",
     "request_encode_stats",
-    "set_request_encode_cache",
+    "reset_request_encode_cache",
 ]
 
 
@@ -701,15 +701,10 @@ def request_encode_stats() -> dict:
         }
 
 
-def set_request_encode_cache(enabled: bool = True, limit: int = _REQ_CACHE_LIMIT) -> None:
-    """Resize (or with ``enabled=False``, disable) the request encode cache.
-
-    Clears current contents and counters either way — used by tests and
-    benchmarks that need a cold start.
-    """
-    global _REQ_CACHE_LIMIT, _req_hits, _req_misses
+def reset_request_encode_cache() -> None:
+    """Empty the request encode cache and zero its counters (cold start)."""
+    global _req_hits, _req_misses
     with _req_lock:
-        _REQ_CACHE_LIMIT = int(limit) if enabled else 0
         _base_cache.clear()
         _filter_cache.clear()
         _req_hits = 0
@@ -717,14 +712,10 @@ def set_request_encode_cache(enabled: bool = True, limit: int = _REQ_CACHE_LIMIT
 
 
 def _encode_base(base: str) -> bytes:
-    if not _REQ_CACHE_LIMIT:
-        return ber.encode_octet_string(base)
     return _cached(_base_cache, base, ber.encode_octet_string)
 
 
 def _encode_filter_cached(f: Filter) -> bytes:
-    if not _REQ_CACHE_LIMIT:
-        return encode_filter(f)
     try:
         return _cached(_filter_cache, f, encode_filter)
     except TypeError:  # unhashable filter node — encode directly

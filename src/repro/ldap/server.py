@@ -113,7 +113,6 @@ class LdapServer:
         tracer: Optional[Tracer] = None,
         executor: Optional[RequestExecutor] = None,
         default_time_limit: float = 0.0,
-        encode_cache: bool = True,
     ):
         self.backend = backend
         self.authenticator = authenticator or AnonymousOnly()
@@ -157,10 +156,8 @@ class LdapServer:
         )
         self._search_rejected = self.metrics.counter("ldap.search.rejected")
         self._search_expired = self.metrics.counter("ldap.search.deadline_expired")
-        # Wire-path fast lanes: per-entry encode caching (off = always
-        # re-encode, the pre-cache behavior; the wire bytes are identical
-        # either way) plus codec traffic and DN intern-cache visibility.
-        self.encode_cache = encode_cache
+        # Wire-path visibility: per-entry encode cache, codec traffic
+        # and the DN intern cache.
         self._codec_messages = self.metrics.counter("ldap.codec.messages")
         self._codec_bytes = self.metrics.counter("ldap.codec.bytes")
         self._encode_hits = self.metrics.counter("ldap.encode.cache.hits")
@@ -313,11 +310,12 @@ class _ServerConnection:
             record.timer.cancel()
         return record
 
-    def _context(self) -> RequestContext:
+    def _context(self, **request) -> RequestContext:
         return RequestContext(
             identity=self.identity,
             now=self.server.clock.now(),
             peer=self.conn.peer,
+            **request,
         )
 
     def _on_message(self, raw: bytes) -> None:
@@ -539,8 +537,7 @@ class _ServerConnection:
         fast lane just skips the per-client copy and re-encode.
         """
         return (
-            self.server.encode_cache
-            and not req.types_only
+            not req.types_only
             and req.wants() is None
             and self.server.policy.is_transparent(self.identity)
         )
@@ -593,9 +590,7 @@ class _ServerConnection:
         self.server._requests["search"].inc()
         started = self.server.clock.now()
         token = CancelToken(deadline=self._deadline_for(req, started))
-        ctx = self._context()
-        ctx.controls = controls
-        ctx.token = token
+        ctx = self._context(controls=controls, token=token)
         record = _InFlightSearch(token, started)
         with self._ops_lock:
             self._inflight[msg_id] = record

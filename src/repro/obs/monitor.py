@@ -41,7 +41,6 @@ from ..ldap.backend import (
     Subscription,
     _in_scope,
 )
-from ..ldap.executor import CancelToken
 from ..ldap.dit import Scope
 from ..ldap.filter import compile_filter
 from ..ldap.dn import DN, RDN
@@ -280,34 +279,6 @@ class MonitoredBackend(Backend):
             return "both"
         return "inner"
 
-    def search(self, req: SearchRequest, ctx: RequestContext) -> SearchOutcome:
-        """Synchronous shim: monitor reads complete inline; data reads
-        delegate to the inner backend's own shim."""
-        route = self._route(req)
-        if route == "monitor":
-            return self.monitor.search(req, ctx)
-        outcome = self.inner.search(req, ctx)
-        if route == "both":
-            outcome = self._merged(req, ctx, outcome)
-        return outcome
-
-    def submit_search(
-        self,
-        req: SearchRequest,
-        ctx: RequestContext,
-        done: Callable[[SearchOutcome], None],
-    ) -> SearchHandle:
-        route = self._route(req)
-        if route == "monitor":
-            token = ctx.token if ctx.token is not None else CancelToken()
-            done(self.monitor.search(req, ctx))
-            return SearchHandle(token)
-        if route == "both":
-            return self.inner.submit_search(
-                req, ctx, lambda outcome: done(self._merged(req, ctx, outcome))
-            )
-        return self.inner.submit_search(req, ctx, done)
-
     def submit_search_stream(
         self,
         req: SearchRequest,
@@ -315,69 +286,32 @@ class MonitoredBackend(Backend):
         on_entry: Callable[[object], None],
         on_done: Callable[[SearchOutcome], None],
     ) -> SearchHandle:
-        """Streaming pass-through.
+        """Route one search to the backend(s) that hold its base.
 
         Data reads keep the inner backend's per-entry delivery — and
-        with it the GIIS relay lane — untouched.  Monitor entries are
-        generated inline: alone for ``cn=monitor`` reads, appended after
-        the inner stream concludes for root subtree reads.
+        with it the GIIS relay lane — untouched; ``cn=monitor`` reads
+        are the monitor's own stream; a root subtree read streams the
+        monitor's entries after the inner stream concludes.
         """
         route = self._route(req)
         if route == "inner":
             return self.inner.submit_search_stream(req, ctx, on_entry, on_done)
-        token = ctx.token if ctx.token is not None else CancelToken()
         if route == "monitor":
-            outcome = self.monitor.search(req, ctx)
-            for entry in outcome.entries:
-                if token.cancelled:
-                    return SearchHandle(token)
-                on_entry(entry)
-            if not token.cancelled:
-                on_done(
-                    SearchOutcome(
-                        entries=[],
-                        referrals=outcome.referrals,
-                        result=outcome.result,
-                    )
-                )
-            return SearchHandle(token)
+            return self.monitor.submit_search_stream(req, ctx, on_entry, on_done)
 
-        def merged_done(outcome: SearchOutcome) -> None:
-            mon = self.monitor.search(req, ctx)
-            if not mon.result.ok:
-                on_done(outcome)
-                return
-            for entry in mon.entries:
-                if token.cancelled:
-                    return
-                on_entry(entry)
-            on_done(
-                SearchOutcome(
-                    entries=[],
-                    referrals=list(outcome.referrals) + list(mon.referrals),
-                    # Mirrors _merged: the monitor subtree still answers
-                    # when the inner base had nothing (§2.2).
-                    result=outcome.result if outcome.result.ok else mon.result,
-                )
+        def inner_done(outcome: SearchOutcome) -> None:
+            # The monitor subtree still answers when the inner backend
+            # had nothing under this base (partial results, §2.2).
+            self.monitor.submit_search_stream(
+                req,
+                ctx,
+                on_entry,
+                lambda mon: on_done(
+                    mon if mon.result.ok and not outcome.result.ok else outcome
+                ),
             )
 
-        return self.inner.submit_search_stream(req, ctx, on_entry, merged_done)
-
-    def _merged(
-        self, req: SearchRequest, ctx: RequestContext, inner: SearchOutcome
-    ) -> SearchOutcome:
-        mon = self.monitor.search(req, ctx)
-        if not mon.result.ok:
-            return inner
-        if not inner.result.ok:
-            # The inner backend had nothing under this base; the monitor
-            # subtree still answers (partial results, §2.2).
-            return mon
-        return SearchOutcome(
-            entries=list(inner.entries) + list(mon.entries),
-            referrals=list(inner.referrals) + list(mon.referrals),
-            result=inner.result,
-        )
+        return self.inner.submit_search_stream(req, ctx, on_entry, inner_done)
 
     # -- pass-through --------------------------------------------------------
 

@@ -1,7 +1,10 @@
 """Unit tests for the backend layer and persistent-search controls."""
 
+import pytest
 from hypothesis import given, strategies as st
 
+from repro.giis.core import GiisBackend
+from repro.gris.core import GrisBackend
 from repro.ldap.backend import (
     Backend,
     ChangeType,
@@ -9,6 +12,7 @@ from repro.ldap.backend import (
     RequestContext,
     _in_scope,
 )
+from repro.ldap.client import LdapClient
 from repro.ldap.dit import DIT, Scope
 from repro.ldap.dn import DN
 from repro.ldap.entry import Entry
@@ -27,6 +31,11 @@ from repro.ldap.psearch import (
     PersistentSearchControl,
 )
 from repro.ldap.schema import GRID_SCHEMA
+from repro.ldap.server import LdapServer
+from repro.net.sim import Simulator
+from repro.net.simnet import SimNetwork
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.monitor import MonitorBackend, MonitoredBackend
 
 CTX = RequestContext(identity="CN=test")
 
@@ -89,13 +98,54 @@ class TestDitBackend:
         assert b.delete("cn=x", CTX).code == ResultCode.UNWILLING_TO_PERFORM
         assert b.subscribe(SearchRequest(), CTX, lambda e, c: None) is None
 
-    def test_submit_search_default_bridges(self):
-        results = []
-        handle = backend().submit_search(
-            SearchRequest(base="o=Grid", scope=Scope.SUBTREE), CTX, results.append
+    def test_default_stream_replays_the_search_hook(self):
+        entries, results = [], []
+        handle = backend().submit_search_stream(
+            SearchRequest(base="o=Grid", scope=Scope.SUBTREE),
+            CTX,
+            entries.append,
+            results.append,
         )
-        assert len(results) == 1 and results[0].result.ok
+        assert entries and len(results) == 1
+        assert results[0].result.ok and not results[0].entries
         assert not handle.cancelled
+
+
+_BACKENDS = {
+    "dit": lambda sim: DitBackend(DIT()),
+    "gris": lambda sim: GrisBackend("o=Grid", clock=sim),
+    "giis-chain": lambda sim: GiisBackend("o=Grid", clock=sim),
+    "giis-referral": lambda sim: GiisBackend("o=Grid", clock=sim, mode="referral"),
+    "monitor": lambda sim: MonitorBackend(MetricsRegistry()),
+    "monitored-giis": lambda sim: MonitoredBackend(
+        GiisBackend("o=Grid", clock=sim), MonitorBackend(MetricsRegistry())
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_BACKENDS))
+class TestMalformedBaseDn:
+    """Every backend answers a base DN that does not parse with
+    protocolError — never an exception, never its text on the wire."""
+
+    REQ = SearchRequest(base="===bad,,=", scope=Scope.SUBTREE)
+
+    def test_through_search(self, kind):
+        out = _BACKENDS[kind](Simulator()).search(self.REQ, RequestContext())
+        assert out.result.code == ResultCode.PROTOCOL_ERROR
+        assert out.result.message == "bad base DN" and not out.entries
+
+    def test_through_a_served_connection(self, kind):
+        sim = Simulator(seed=7)
+        net = SimNetwork(sim)
+        server = LdapServer(_BACKENDS[kind](sim), clock=sim)
+        net.add_node("server").listen(389, server.handle_connection)
+        client = LdapClient(
+            net.add_node("client").connect(("server", 389)), driver=sim.step
+        )
+        out = client.search(self.REQ.base, check=False)
+        assert out.result.code == ResultCode.PROTOCOL_ERROR
+        assert out.result.message == "bad base DN"
 
 
 class TestSubscriptionSemantics:

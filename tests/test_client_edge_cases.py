@@ -166,12 +166,12 @@ class TestDeepHierarchy:
         out = client.search("o=Grid", filter="(objectclass=computer)")
         assert sorted(e.first("hn") for e in out) == ["wn1", "wn2"]
 
-        us_before = us.backend.stats_chained
+        us_before = us.backend.metrics.counter("giis.chained").value
         out = client.search(
             "o=CERN, o=EU, o=Grid", filter="(objectclass=computer)"
         )
         assert [e.first("hn") for e in out] == ["wn1"]
-        assert us.backend.stats_chained == us_before  # US branch untouched
+        assert us.backend.metrics.counter("giis.chained").value == us_before  # US branch untouched
 
     def test_point_query_resolves_through_three_levels(self):
         tb = GridTestbed(seed=44)

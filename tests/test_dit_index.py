@@ -156,20 +156,21 @@ class TestDitPlanning:
         # objectclass is always indexed, so force the scan comparison
         # through an attribute only `indexed` covers.
         assert a == b and len(a) == 3
-        assert indexed.stats_planned >= 1
-        assert plain.stats_scanned >= 1
+        assert indexed.metrics.counter("ldap.search.planned").value >= 1
+        assert plain.metrics.counter("ldap.search.scanned").value >= 1
 
     def test_objectclass_always_indexed(self):
         dit = DIT()
         dit.load(_site())
         dit.search("o=Grid", Scope.SUBTREE, parse_filter("(objectclass=organization)"))
-        assert dit.stats_planned == 1 and dit.stats_scanned == 0
+        assert dit.metrics.counter("ldap.search.planned").value == 1
+        assert dit.metrics.counter("ldap.search.scanned").value == 0
 
     def test_scan_path_counted(self):
         dit = DIT(index_attrs=("cpu",))
         dit.load(_site())
         dit.search("o=Grid", Scope.SUBTREE, parse_filter("(hn=h1)"))
-        assert dit.stats_scanned == 1
+        assert dit.metrics.counter("ldap.search.scanned").value == 1
 
     def test_set_index_attrs_rebuilds(self):
         dit = DIT()
@@ -178,7 +179,7 @@ class TestDitPlanning:
         dit.set_index_attrs(("cpu",))
         assert dit.index_sizes()["cpu"] == 8
         dit.search("o=Grid", Scope.SUBTREE, parse_filter("(cpu=x86)"))
-        assert dit.stats_planned == 1
+        assert dit.metrics.counter("ldap.search.planned").value == 1
         dit.set_index_attrs(())
         assert dit.index_sizes().get("cpu") is None
 

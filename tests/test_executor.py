@@ -20,7 +20,12 @@ from repro.ldap.dit import Scope
 from repro.ldap.entry import Entry
 from repro.ldap.executor import CancelToken, RequestExecutor
 from repro.ldap.filter import parse as parse_filter
-from repro.ldap.protocol import ResultCode, SearchRequest
+from repro.ldap.protocol import (
+    RawEntry,
+    ResultCode,
+    SearchRequest,
+    encode_search_entry,
+)
 from repro.ldap.server import LdapServer
 from repro.net.sim import Simulator
 from repro.net.simnet import SimNetwork
@@ -73,9 +78,8 @@ class TestCancelToken:
 
     def test_request_context_cancelled_property(self):
         ctx = RequestContext()
-        assert not ctx.cancelled  # no token at all
-        ctx.token = CancelToken()
-        assert not ctx.cancelled
+        assert not ctx.cancelled  # a fresh token of its own
+        assert ctx.token is not RequestContext().token
         ctx.token.cancel()
         assert ctx.cancelled
 
@@ -169,26 +173,22 @@ class SlowBackend(Backend):
         self.completed = 0
         self.ignore_token = False
 
-    def submit_search(self, req, ctx, on_done):
-        token = ctx.token if ctx.token is not None else CancelToken()
-        handle = SearchHandle(token)
+    def submit_search_stream(self, req, ctx, on_entry, on_done):
+        token = ctx.token
         delay = self.delay if "slow" in req.base else 0.0
 
         def finish():
             if token.cancelled and not self.ignore_token:
                 return
             self.completed += 1
-            on_done(
-                SearchOutcome(
-                    entries=[Entry(req.base, objectclass="organization")]
-                )
-            )
+            on_entry(Entry(req.base, objectclass="organization"))
+            on_done(SearchOutcome())
 
         if delay:
             self.clock.call_later(delay, finish)
         else:
             finish()
-        return handle
+        return SearchHandle(token)
 
 
 def sim_stack(delay=30.0, **server_kwargs):
@@ -356,14 +356,29 @@ class TestCancellation:
 
     def test_sync_shim_answers_busy_for_incomplete_backend(self):
         class Never(Backend):
-            def submit_search(self, req, ctx, on_done):
-                token = ctx.token if ctx.token is not None else CancelToken()
-                return SearchHandle(token)  # work never completes
+            def submit_search_stream(self, req, ctx, on_entry, on_done):
+                on_entry(Entry("o=G", objectclass="organization"))
+                return SearchHandle(ctx.token)  # work never concludes
 
-        out = Never().search(
+        ctx = RequestContext()
+        out = Never().search(SearchRequest(base="o=G", scope=Scope.SUBTREE), ctx)
+        assert out.result.code == ResultCode.BUSY and not out.entries
+        assert ctx.token.reason == "synchronous caller cannot wait"
+
+    def test_sync_search_collects_raw_entries_decoded(self):
+        entry = Entry("hn=a, o=G", objectclass="computer", hn="a")
+
+        class Relaying(Backend):
+            def submit_search_stream(self, req, ctx, on_entry, on_done):
+                on_entry(RawEntry(encode_search_entry(entry)))
+                on_done(SearchOutcome(referrals=["ldap://x/"]))
+                return SearchHandle(ctx.token)
+
+        out = Relaying().search(
             SearchRequest(base="o=G", scope=Scope.SUBTREE), RequestContext()
         )
-        assert out.result.code == ResultCode.BUSY
+        assert out.result.ok and out.referrals == ["ldap://x/"]
+        assert out.entries == [entry] and type(out.entries[0]) is Entry
 
     def test_giis_sync_shim_serves_local_view(self):
         sim = Simulator()
@@ -437,9 +452,8 @@ class TestBackpressureOverTcp:
         closes and in-flight work is cancelled, not leaked."""
 
         class Hang(Backend):
-            def submit_search(self, req, ctx, on_done):
-                token = ctx.token if ctx.token is not None else CancelToken()
-                return SearchHandle(token)  # never completes
+            def submit_search_stream(self, req, ctx, on_entry, on_done):
+                return SearchHandle(ctx.token)  # never concludes
 
         metrics = MetricsRegistry()
         server = LdapServer(Hang(), metrics=metrics)

@@ -55,6 +55,7 @@ from repro.ldap.protocol import (
 from repro.ldap.server import LdapServer
 from repro.net import TRANSPORTS, make_endpoint
 from repro.security.acl import (
+    ANONYMOUS,
     AccessPolicy,
     AccessRule,
     attribute_restricted_policy,
@@ -439,8 +440,23 @@ class _RecordingConn:
         return getattr(self.inner, name)
 
 
-def _serve_and_capture(transport, encode_cache):
-    """One fixed workload; returns every frame the client received."""
+def allow_all_scoped_policy():
+    """Everything readable by everyone, yet not ``is_transparent``.
+
+    The allow rule is scoped (to the root, so it covers every entry):
+    the front end cannot prove the policy an identity transform and
+    serves every request on its per-entry ACL-rebuild-and-encode lane
+    and marks none transparent — the reference the fast lanes (encode
+    cache, GIIS relay) are compared against.
+    """
+    policy = AccessPolicy([AccessRule.make("*", base="")], default_allow=True)
+    assert not policy.is_transparent(ANONYMOUS)
+    return policy
+
+
+def _serve_and_capture(transport, policy=None):
+    """One fixed workload; returns (frames the client received, encode
+    cache hits the server counted)."""
     dit = DIT(index_attrs=["hn"])
     dit.add(Entry("o=Grid", objectclass="organization", o="Grid"))
     for i in range(8):
@@ -452,7 +468,7 @@ def _serve_and_capture(transport, encode_cache):
                 load5=str(i / 10),
             )
         )
-    server = LdapServer(DitBackend(dit), encode_cache=encode_cache)
+    server = LdapServer(DitBackend(dit), policy=policy)
     endpoint = make_endpoint(transport)
     try:
         port = endpoint.listen(0, server.handle_connection)
@@ -471,21 +487,23 @@ def _serve_and_capture(transport, encode_cache):
                 check=False,
             )
         client.unbind()
-        return recorder.frames
+        hits = server.metrics.counter("ldap.encode.cache.hits").value
+        return recorder.frames, hits
     finally:
         endpoint.close()
 
 
 @pytest.mark.parametrize("transport", TRANSPORTS)
 def test_wire_bytes_identical_with_and_without_fast_lanes(transport):
-    cached = _serve_and_capture(transport, encode_cache=True)
-    uncached = _serve_and_capture(transport, encode_cache=False)
+    cached, fast_hits = _serve_and_capture(transport)
+    uncached, slow_hits = _serve_and_capture(transport, allow_all_scoped_policy())
     assert cached == uncached
     assert len(cached) > 10  # the workload actually produced traffic
+    assert fast_hits > 0 and slow_hits == 0
 
 
 def test_wire_bytes_identical_across_transports():
-    frames = [_serve_and_capture(t, encode_cache=True) for t in TRANSPORTS]
+    frames = [_serve_and_capture(t)[0] for t in TRANSPORTS]
     assert frames[0] == frames[1]
 
 

@@ -1,10 +1,15 @@
 """Tests for the GIIS: GRRP intake, chaining, referrals, hierarchy."""
 
+import sys
+import threading
+import time
 
 from repro.giis import GiisBackend, NameIndex
+from repro.giis.core import _QueryCacheSlot
 from repro.grip.messages import GrrpMessage, NotificationType
-from repro.ldap.backend import RequestContext
+from repro.ldap.backend import RequestContext, SearchOutcome
 from repro.ldap.dit import Scope
+from repro.ldap.filter import parse as parse_filter
 from repro.ldap.protocol import AddRequest, ResultCode, SearchRequest
 from repro.ldap.entry import Entry
 from repro.ldap.url import LdapUrl
@@ -140,10 +145,10 @@ class TestChaining:
         tb = GridTestbed(seed=1)
         giis, children = build_vo(tb, n_gris=3)
         client = tb.client("user", giis)
-        before = giis.backend.stats_chained
+        before = giis.backend.metrics.counter("giis.chained").value
         out = client.search("hn=r1, o=Grid", filter="(objectclass=computer)")
         assert len(out) == 1
-        assert giis.backend.stats_chained - before == 1  # namespace pruning
+        assert giis.backend.metrics.counter("giis.chained").value - before == 1  # namespace pruning
 
     def test_attribute_selection_through_chain(self):
         tb = GridTestbed(seed=1)
@@ -179,7 +184,7 @@ class TestChaining:
         client = tb.client("user", giis)
         out = client.search("o=Grid", filter="(objectclass=computer)")
         assert [e.first("hn") for e in out] == ["r1"]  # partial results (§2.2)
-        assert giis.backend.stats_child_errors >= 1
+        assert giis.backend.metrics.counter("giis.child.errors").value >= 1
 
     def test_silent_child_times_out_with_partial_results(self):
         """A child that accepts connections but never answers costs the
@@ -201,17 +206,17 @@ class TestChaining:
         out = client.search("o=Grid", filter="(objectclass=computer)")
         assert [e.first("hn") for e in out] == ["r0"]
         assert tb.sim.now() - t0 >= 2.0  # paid the child timeout
-        assert giis.backend.stats_child_timeouts == 1
+        assert giis.backend.metrics.counter("giis.child.timeouts").value == 1
 
     def test_query_cache(self):
         tb = GridTestbed(seed=1)
         giis, _ = build_vo(tb, n_gris=2, cache_ttl=30.0)
         client = tb.client("user", giis)
         client.search("o=Grid", filter="(objectclass=computer)")
-        chained = giis.backend.stats_chained
+        chained = giis.backend.metrics.counter("giis.chained").value
         client.search("o=Grid", filter="(objectclass=computer)")
-        assert giis.backend.stats_chained == chained  # served from cache
-        assert giis.backend.stats_cache_hits == 1
+        assert giis.backend.metrics.counter("giis.chained").value == chained  # served from cache
+        assert giis.backend.metrics.counter("giis.query_cache.hits").value == 1
 
     def test_query_cache_bounded_by_max_entries(self):
         tb = GridTestbed(seed=1)
@@ -250,6 +255,129 @@ class TestChaining:
         tb.run(1.0)
         out = client.search("o=Grid", filter="(objectclass=computer)")
         assert sorted(e.first("hn") for e in out) == ["r0", "rX"]
+
+
+def _answer(result):
+    """An answer as a client judges sameness: entry set, referrals, code."""
+    shapes = sorted(
+        (str(e.dn), sorted((a, tuple(vs)) for a, vs in e.items()))
+        for e in result.entries
+    )
+    return shapes, sorted(result.referrals), result.result.code
+
+
+class TestQueryCacheConsumesTheStream:
+    """The query cache records what the one collector forwards and
+    replays it; it is not a second search path."""
+
+    def _counter(self, giis, name):
+        return giis.backend.metrics.counter(name).value
+
+    def test_hit_replays_the_miss_without_touching_a_child(self):
+        tb = GridTestbed(seed=1)
+        vo = tb.add_giis("vo", "o=Grid", cache_ttl=30.0)
+        site = tb.add_giis("site", "o=O1, o=Grid", mode="referral")
+        gris = tb.standard_gris("r0", "hn=r0, o=O1, o=Grid")
+        plain = tb.standard_gris("r1", "hn=r1, o=Grid")
+        tb.register(gris, site, name="r0")
+        tb.register(site, vo, name="site")
+        tb.register(plain, vo, name="r1")
+        tb.run(1.0)
+        client = tb.client("user", vo)
+        miss = client.search("o=Grid", filter="(objectclass=*)", check=False)
+        chained = self._counter(vo, "giis.chained")
+        assert chained == 2 and miss.referrals  # the site refers to its GRIS
+        assert any(e.first("hn") == "r1" for e in miss.entries)
+        hit = client.search("o=Grid", filter="(objectclass=*)", check=False)
+        assert _answer(hit) == _answer(miss)
+        assert self._counter(vo, "giis.chained") == chained
+        assert self._counter(vo, "giis.query_cache.hits") == 1
+
+    def test_size_limit_cancelled_search_stores_nothing(self):
+        tb = GridTestbed(seed=1)
+        giis, _ = build_vo(tb, n_gris=4, cache_ttl=1e9)
+        client = tb.client("user", giis)
+        cut = client.search(
+            "o=Grid", filter="(objectclass=computer)", size_limit=2, check=False
+        )
+        assert cut.result.code == ResultCode.SIZE_LIMIT_EXCEEDED
+        tb.run(10.0)
+        assert len(giis.backend._query_cache) == 0
+        full = client.search("o=Grid", filter="(objectclass=computer)")
+        assert len(full.entries) == 4  # not answered from a truncated slot
+        assert len(giis.backend._query_cache) == 1
+
+    def test_aborted_search_stores_nothing(self):
+        tb = GridTestbed(seed=1)
+        giis, _ = build_vo(tb, n_gris=2, cache_ttl=1e9)
+        ctx, done = RequestContext(), []
+        giis.backend.submit_search_stream(
+            SearchRequest(base="o=Grid"), ctx, lambda entry: None, done.append
+        )
+        ctx.token.cancel("abandoned")
+        tb.run(10.0)
+        assert done == [] and len(giis.backend._query_cache) == 0
+        assert self._counter(giis, "giis.chain.cancelled") == 1
+
+    def test_transparent_requests_fall_back_to_the_decoded_lane(self):
+        tb = GridTestbed(seed=1)
+        giis, _ = build_vo(tb, n_gris=2, cache_ttl=30.0)
+        client = tb.client("user", giis)  # open policy: transparent
+        for _ in range(2):  # a miss that chains, then a hit that does not
+            client.search("o=Grid", filter="(objectclass=computer)")
+        assert self._counter(giis, "giis.relay.fallback") == 1
+        assert self._counter(giis, "giis.relay.entries") == 0
+        assert giis.server.metrics.counter("ldap.entries.relayed").value == 0
+
+    def test_concurrent_lookups_stores_and_clears_keep_the_cache_sound(self):
+        """Lookups sweep on executor workers, stores arrive on child
+        receive threads and the registry's membership hook clears: all
+        at once, nothing raises and the bound holds."""
+        giis = GiisBackend("o=Grid", clock=Simulator(), cache_ttl=60.0, max_query_cache=32)
+        giis.apply_grrp(reg_msg(suffix="o=Grid"))
+        member = giis.registry.lookup("ldap://gris1:2135/")
+        stop_at = time.monotonic() + 1.5
+        errors = []
+
+        def loop(step):
+            def run():
+                i = 0
+                try:
+                    while time.monotonic() < stop_at:
+                        step(i)
+                        i += 1
+                except Exception as exc:  # noqa: BLE001 - the assertion below
+                    errors.append(exc)
+
+            return threading.Thread(target=run)
+
+        def store(i):
+            giis._store_query_result(
+                ("o=grid", 2, f"s{i % 64}"), _QueryCacheSlot(SearchOutcome(), 0.0)
+            )
+
+        def lookup(i):
+            req = SearchRequest(base="o=Grid", filter=parse_filter(f"(hn=h{i % 64})"))
+            giis.submit_search_stream(
+                req, RequestContext(), lambda entry: None, lambda outcome: None
+            )
+
+        def clear(i):
+            giis._fan_register(member)
+
+        threads = [loop(step) for step in (store, store, lookup, lookup, clear)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(giis._query_cache) <= giis.max_query_cache
 
 
 class TestReferralMode:
@@ -306,10 +434,10 @@ class TestHierarchy:
         tb = GridTestbed(seed=3)
         vo, center1, center2, _ = self.build_figure5(tb)
         client = tb.client("user", vo)
-        before2 = center2.backend.stats_chained
+        before2 = center2.backend.metrics.counter("giis.chained").value
         out = client.search("o=O1, o=Grid", filter="(objectclass=computer)")
         assert len(out) == 3
-        assert center2.backend.stats_chained == before2  # O2 untouched
+        assert center2.backend.metrics.counter("giis.chained").value == before2  # O2 untouched
 
     def test_direct_center_query(self):
         tb = GridTestbed(seed=3)
@@ -344,9 +472,9 @@ class TestLoopPrevention:
         # the query completed (did not recurse forever) and found the
         # resource despite the cycle
         assert [e.first("hn") for e in out] == ["r0"]
-        assert (
-            a.backend.stats_depth_limited + b.backend.stats_depth_limited >= 1
-        )
+        assert sum(
+            g.backend.metrics.counter("giis.depth_limited").value for g in (a, b)
+        ) >= 1
 
     def test_self_registration_terminates(self):
         tb = GridTestbed(seed=88)

@@ -94,7 +94,7 @@ class TestSoftStateRegistry:
         reg.apply(msg(ts=0.0, ttl=30.0))
         sim.run_until(31.0)
         assert not reg.is_registered("ldap://p1:2135/")
-        assert reg.stats_expired == 1
+        assert reg.metrics.counter("grrp.expired").value == 1
 
     def test_refresh_extends(self):
         sim = Simulator()
@@ -134,7 +134,7 @@ class TestSoftStateRegistry:
         sim.run_until(100.0)
         reg = SoftStateRegistry(sim)
         assert not reg.apply(msg(ts=0.0, ttl=30.0))
-        assert reg.stats_rejected == 1
+        assert reg.metrics.counter("grrp.rejected").value == 1
 
     def test_membership_policy(self):
         # §2.3: collection administrators control membership.

@@ -151,21 +151,22 @@ class TestGiisEdges:
         assert len(results["a"].entries) == 3
         assert len(results["b"].entries) == 1
 
-    def test_sync_search_serves_local_view_only(self):
+    def test_sync_search_with_a_pending_child_answers_busy(self):
         from repro.ldap.backend import RequestContext
-        from repro.ldap.protocol import SearchRequest
+        from repro.ldap.protocol import ResultCode, SearchRequest
 
         tb = GridTestbed(seed=91)
         giis = tb.add_giis("giis", "o=Grid")
         gris = tb.standard_gris("r0", "hn=r0, o=Grid")
         tb.register(gris, giis, name="r0")
         tb.run(1.0)
-        out = giis.backend.search(
-            SearchRequest(base="o=Grid"), RequestContext()
-        )
-        dns = {str(e.dn) for e in out.entries}
-        assert any(d.startswith("regid=") for d in dns)
-        assert not any(d.startswith("hn=") for d in dns)  # no chaining
+        ctx = RequestContext()
+        out = giis.backend.search(SearchRequest(base="o=Grid"), ctx)
+        # The child's answer is still in flight: no silent local-only
+        # answer, and the chain is cancelled rather than left running.
+        assert out.result.code == ResultCode.BUSY and not out.entries
+        assert ctx.cancelled
+        assert giis.backend.metrics.counter("giis.chain.cancelled").value == 1
 
     def test_bad_mode_rejected(self):
         from repro.giis import GiisBackend

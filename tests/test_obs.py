@@ -387,7 +387,7 @@ class TestExpiredRefreshRebirth:
             ("expire", "ldap://p1:2135/"),
             ("register", 31.0),
         ]
-        assert reg.stats_expired == 1
+        assert reg.metrics.counter("grrp.expired").value == 1
         record = reg.lookup("ldap://p1:2135/")
         assert record is not None
         assert record.refresh_count == 0  # a fresh life, not a refresh
@@ -564,12 +564,10 @@ class TestMalformedChainDepth:
         giis = GiisBackend("o=Grid", clock=sim, connector=must_not_dial)
         giis.apply_grrp(reg_msg(url="ldap://child:2135/", suffix="hn=r1, o=Grid"))
         ctx = RequestContext(controls=(self._malformed_control(),))
-        outcomes = []
-        giis.submit_search(req("o=Grid"), ctx, outcomes.append)
-        assert len(outcomes) == 1
-        assert outcomes[0].result.ok  # partial results, not an error
-        assert giis.stats_depth_limited == 1
-        assert giis.stats_chained == 0
+        out = giis.search(req("o=Grid"), ctx)
+        assert out.result.ok and out.entries  # partial results, not an error
+        assert giis.metrics.counter("giis.depth_limited").value == 1
+        assert giis.metrics.counter("giis.chained").value == 0
 
     def test_well_formed_depth_still_chains_until_limit(self):
         from repro.giis.core import _chain_depth_control

@@ -36,6 +36,26 @@ class TestDocumentation:
         assert not undocumented, f"undocumented public classes: {undocumented}"
 
 
+class TestOneSearchPath:
+    def test_backend_search_surface_and_no_lane_switches(self):
+        """``submit_search_stream`` is the contract and ``search`` its one
+        synchronous consumer; the slow lanes have no constructor switch."""
+        import inspect
+
+        from repro.giis.core import GiisBackend
+        from repro.ldap.backend import Backend
+        from repro.ldap.server import LdapServer
+
+        surface = {
+            name
+            for name in vars(Backend)
+            if "search" in name and not name.startswith("_")
+        }
+        assert surface == {"submit_search_stream", "search"}
+        for cls, switch in ((GiisBackend, "relay"), (LdapServer, "encode_cache")):
+            assert switch not in inspect.signature(cls.__init__).parameters
+
+
 class TestServerFilteringMatchesLocalSemantics:
     """Cross-check: entries a server returns for a filter are exactly
     the entries whose full content matches the filter locally."""
@@ -112,7 +132,7 @@ class TestGiisCachePreservesStamps:
         stamp0 = first.entries[0].timestamp()
         tb.run(60.0)
         again = client.search("o=Grid", filter="(objectclass=loadaverage)")
-        assert giis.backend.stats_cache_hits >= 1
+        assert giis.backend.metrics.counter("giis.query_cache.hits").value >= 1
         assert again.entries[0].timestamp() == stamp0  # honest staleness
         # the consumer can detect it is stale relative to the TTL
         assert again.entries[0].is_stale(tb.sim.now())

@@ -160,7 +160,7 @@ class TestEngineEquivalence:
             dit = DIT(index_attrs=("cpu",), storage=engine)
             _mutate(dit)
             out = dit.search("o=Grid", Scope.SUBTREE, parse_filter("(cpu=x86)"))
-            assert dit.stats_planned == 1
+            assert dit.metrics.counter("ldap.search.planned").value == 1
             shapes[name] = (_shape(dit), [str(e.dn) for e in out])
             engine.close()
         assert shapes["wal"] == shapes["memory"]
@@ -181,7 +181,7 @@ class TestEngineEquivalence:
         planned = dit.search("o=Grid", Scope.SUBTREE, parse_filter("(cpu=mips)"))
         expect = baseline.search("o=Grid", Scope.SUBTREE, parse_filter("(cpu=mips)"))
         assert [str(e.dn) for e in planned] == [str(e.dn) for e in expect]
-        assert dit.stats_planned == 1
+        assert dit.metrics.counter("ldap.search.planned").value == 1
         reopened.close()
 
     def test_clear_persists(self, tmp_path):
@@ -369,7 +369,7 @@ def test_crash_at_any_byte_boundary_replays_the_clean_prefix(
         got = recovered.search("o=Grid", Scope.SUBTREE, parse_filter(filt))
         want = baseline.search("o=Grid", Scope.SUBTREE, parse_filter(filt))
         assert _shape_of(got) == _shape_of(want)
-    assert recovered.stats_planned == 2
+    assert recovered.metrics.counter("ldap.search.planned").value == 2
     recovered.storage.close()
 
 

@@ -4,11 +4,12 @@ Covers the PR-10 path end to end:
 
 * :class:`RawEntry` — the undecoded carrier (DN peek, lazy decode,
   buffer detach);
-* the streaming backend adapter — streamed sequence equals the buffered
-  list for *any* outcome, including size-limit partials and
-  cancellation mid-stream (hypothesis);
-* the GIIS relay lane — chained results are byte-identical with relay
-  on and off, over both real transports;
+* the default stream of a local backend — the streamed sequence equals
+  the search hook's list for *any* outcome, including size-limit
+  partials and cancellation mid-stream (hypothesis);
+* the GIIS relay lane — chained results are byte-identical relayed
+  (transparent front end) and decoded (a front end that cannot prove
+  its policy transparent), over both real transports;
 * early abandon — the parent's size limit cuts off in-flight children;
 * size-budget propagation — children see the parent's limit exactly
   when the front end is transparent;
@@ -32,7 +33,7 @@ from repro.ldap.backend import (
     SearchOutcome,
 )
 from repro.ldap.client import LdapClient
-from repro.ldap.dit import DIT, Scope
+from repro.ldap.dit import DIT, in_scope
 from repro.ldap.entry import Entry
 from repro.ldap.executor import CancelToken
 from repro.ldap.filter import compile_filter, parse as parse_filter
@@ -46,13 +47,14 @@ from repro.ldap.protocol import (
     encode_message,
     encode_message_with_op,
     request_encode_stats,
-    set_request_encode_cache,
+    reset_request_encode_cache,
 )
 from repro.ldap.server import LdapServer
 from repro.net import make_endpoint
 from repro.net.clock import WallClock
 from repro.testbed import GridTestbed
 
+from .test_fastpath import allow_all_scoped_policy
 from .test_filter import HOST, _filters
 
 CTX = RequestContext(identity="CN=tester")
@@ -154,7 +156,7 @@ def _outcomes(draw):
 
 
 class _FixedBackend(Backend):
-    """A buffered backend that answers one canned outcome."""
+    """A local backend whose search hook answers one canned outcome."""
 
     def __init__(self, outcome):
         self.outcome = outcome
@@ -181,6 +183,11 @@ class TestStreamingAdapter:
         assert final.entries == []  # entries only via on_entry
         assert final.referrals == outcome.referrals
         assert final.result.code == outcome.result.code
+        # and search() collects that stream back into the hook's answer
+        collected = backend.search(req, RequestContext(identity="x"))
+        assert collected.entries == outcome.entries
+        assert collected.referrals == outcome.referrals
+        assert collected.result.code == outcome.result.code
 
     @given(_outcomes(), st.integers(min_value=0, max_value=6))
     @settings(max_examples=60, deadline=None)
@@ -254,9 +261,9 @@ class TestCompiledFilters:
 
 @pytest.fixture
 def fresh_request_cache():
-    set_request_encode_cache(True)
+    reset_request_encode_cache()
     yield
-    set_request_encode_cache(True)
+    reset_request_encode_cache()
 
 
 class TestRequestEncodeCache:
@@ -273,17 +280,18 @@ class TestRequestEncodeCache:
         assert first == second
         assert after["hits"] >= before["hits"] + 2  # base DN + filter
 
-    def test_disabled_cache_still_encodes_identically(self, fresh_request_cache):
-        cached = encode_message(LdapMessage(3, self._req()))
-        set_request_encode_cache(False)
-        uncached = encode_message(LdapMessage(3, self._req()))
-        assert cached == uncached
+    def test_cold_encode_after_reset_matches_warm(self, fresh_request_cache):
+        warm = [encode_message(LdapMessage(3, self._req())) for _ in range(2)][1]
+        reset_request_encode_cache()
         stats = request_encode_stats()
         assert stats["base_cached"] == 0 and stats["filter_cached"] == 0
+        cold = encode_message(LdapMessage(3, self._req()))
+        assert cold == warm
+        assert request_encode_stats()["hits"] == 0  # encoded, not looked up
 
 
 # ---------------------------------------------------------------------------
-# The chained relay: byte-identical with relay on and off, both transports
+# The chained relay: byte-identical relayed and decoded, both transports
 # ---------------------------------------------------------------------------
 
 
@@ -322,9 +330,10 @@ def _child_dit(first_host: int, n_hosts: int) -> DIT:
     return dit
 
 
-def _chained_capture(transport: str, relay: bool):
+def _chained_capture(transport: str, policy=None):
     """One GIIS over two disjoint GRIS children on a real transport;
-    returns every frame the client received for a fixed workload."""
+    returns every frame the client received for a fixed workload.
+    *policy* is the GIIS front end's (default: open, so it relays)."""
     clock = WallClock()
     endpoint = make_endpoint(transport)
     closers = [endpoint.close]
@@ -342,7 +351,6 @@ def _chained_capture(transport: str, relay: bool):
             clock=clock,
             connector=lambda url: endpoint.connect((url.host, url.port)),
             child_timeout=30.0,
-            relay=relay,
         )
         closers.append(giis.shutdown)
         now = clock.now()
@@ -355,7 +363,7 @@ def _chained_capture(transport: str, relay: bool):
                     metadata={"suffix": "o=Grid"},
                 )
             )
-        front = LdapServer(giis, clock=clock, name="giis")
+        front = LdapServer(giis, policy=policy, clock=clock, name="giis")
         giis_port = endpoint.listen(0, front.handle_connection)
         recorder = _RecordingConn(endpoint.connect(("127.0.0.1", giis_port)))
         client = LdapClient(recorder)
@@ -373,22 +381,24 @@ def _chained_capture(transport: str, relay: bool):
 @pytest.mark.parametrize("transport", TRANSPORTS)
 def test_relay_wire_bytes_identical_on_and_off(transport):
     """The acceptance criterion: relayed results are byte-identical to
-    the decode-and-re-encode path.  Child arrival order is not
+    the decode-and-re-encode path, which a front end whose policy is
+    not provably transparent takes.  Child arrival order is not
     deterministic, so frames are compared as sorted multisets."""
-    on_frames, on_metrics = _chained_capture(transport, relay=True)
-    off_frames, _ = _chained_capture(transport, relay=False)
+    on_frames, on_metrics = _chained_capture(transport)
+    off_frames, off_metrics = _chained_capture(transport, allow_all_scoped_policy())
     assert sorted(on_frames) == sorted(off_frames)
     assert len(on_frames) > 8  # the workload actually produced traffic
     assert on_metrics.counter("giis.relay.entries").value > 0
+    assert off_metrics.counter("giis.relay.entries").value == 0
 
 
 def test_relay_wire_bytes_identical_across_transports():
-    frames = [_chained_capture(t, relay=True)[0] for t in TRANSPORTS]
+    frames = [_chained_capture(t)[0] for t in TRANSPORTS]
     assert sorted(frames[0]) == sorted(frames[1])
 
 
 # ---------------------------------------------------------------------------
-# Streamed == buffered through the whole chained stack (simulator)
+# Streamed == reference merge through the whole chained stack (simulator)
 # ---------------------------------------------------------------------------
 
 
@@ -410,6 +420,22 @@ def _shape(entry: Entry):
     )
 
 
+def _reference_merge(giis, children, req: SearchRequest):
+    """Oracle for a chained answer: the GIIS's own entries, then each
+    child's own answer to the same request, first writer winning on a
+    DN — computed without the collector under test."""
+    base, match = req.base_dn(), compile_filter(req.filter)
+    merged = {}
+    for entry in giis.backend.local_entries():
+        if in_scope(entry.dn, base, req.scope) and match(entry):
+            merged.setdefault(entry.dn, entry)
+    for child in children:
+        for entry in child.backend.search(req, RequestContext()).entries:
+            if match(entry):  # the child front end's authoritative filter
+                merged.setdefault(entry.dn, entry)
+    return list(merged.values())
+
+
 class TestStreamedEqualsBuffered:
     @pytest.mark.parametrize(
         "filt",
@@ -422,19 +448,14 @@ class TestStreamedEqualsBuffered:
     )
     def test_chained_entry_sets_match(self, filt):
         tb = GridTestbed(seed=3)
-        giis, _ = _build_vo(tb)
+        giis, children = _build_vo(tb)
         client = tb.client("user", giis)
         streamed = client.search("o=Grid", filter=filt)
-
-        buffered_box = []
         req = SearchRequest(base="o=Grid", filter=parse_filter(filt))
-        giis.backend.submit_search(
-            req, RequestContext(identity="u"), buffered_box.append
-        )
-        tb.run(10.0)
-        assert len(buffered_box) == 1
+        reference = _reference_merge(giis, children, req)
+        assert reference
         assert sorted(map(_shape, streamed.entries)) == sorted(
-            map(_shape, buffered_box[0].entries)
+            map(_shape, reference)
         )
 
     def test_relay_off_serves_the_same_entries(self):
@@ -442,7 +463,7 @@ class TestStreamedEqualsBuffered:
         giis_on, _ = _build_vo(tb_on)
         on = tb_on.client("u", giis_on).search("o=Grid", filter="(objectclass=*)")
         tb_off = GridTestbed(seed=4)
-        giis_off, _ = _build_vo(tb_off, relay=False)
+        giis_off, _ = _build_vo(tb_off, policy=allow_all_scoped_policy())
         off = tb_off.client("u", giis_off).search(
             "o=Grid", filter="(objectclass=*)"
         )
@@ -535,7 +556,7 @@ class TestSizeBudget:
         # parent serves the partial set instead of dropping the child.
         assert out.result.code == ResultCode.SIZE_LIMIT_EXCEEDED
         assert len(out.entries) == 3
-        assert giis.backend.stats_child_errors == 0
+        assert giis.backend.metrics.counter("giis.child.errors").value == 0
 
     def test_size_limit_abandons_outstanding_children(self):
         tb = GridTestbed(seed=6)
