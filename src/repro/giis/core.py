@@ -21,6 +21,19 @@ handling, pluggable index construction, and pluggable search handling."
 The GIIS is itself an information provider: it serves its own suffix
 entry plus one entry per active registration, so hierarchical discovery
 (Figure 5) and name services can enumerate VO members with plain GRIP.
+
+**Per-message work and per-search work are kept apart.**  The registry
+builds what a search needs of a registration (entry with encode-cache
+cell, parsed namespace, referral URL) when its GRRP message arrives and
+publishes an immutable :class:`~repro.grip.registry.Generation`; the
+membership hooks and a refresh's fan-out run under the registry's lock
+in mutation order, so indexes and write-ahead log see the membership
+move in one order.  A search takes the generation by reference and
+builds nothing: a DN-map probe below the suffix, the compiled filter
+over the shared entries at or above it, and its providers from
+:class:`RegistrationSuffixIndex`, remembered per *membership* (the
+counter that moves on register, unregister, expiry, rebirth and a
+changed suffix, not on a refresh), which the query cache keys on too.
 """
 
 from __future__ import annotations
@@ -30,8 +43,8 @@ from collections import OrderedDict
 from dataclasses import replace
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
-from ..grip.messages import GrrpError, GrrpMessage, NotificationType, registration_dn
-from ..grip.registry import Registration, SoftStateRegistry
+from ..grip.messages import GrrpError, GrrpMessage, NotificationType
+from ..grip.registry import Applied, Generation, Registration, SoftStateRegistry
 from ..ldap.backend import (
     Backend,
     ChangeCallback,
@@ -44,12 +57,13 @@ from ..ldap.backend import (
     stream_outcome,
 )
 from ..ldap.attributes import CASE_EXACT
+from ..ldap.dit import Scope
 from ..ldap.filter import compile_filter
 from ..ldap.client import LdapClient, SearchResult
 from ..ldap.pool import LdapClientPool
 from ..ldap.dn import DN, DNError, RDN
 from ..ldap.index import AttributeIndex
-from ..ldap.entry import Entry
+from ..ldap.entry import Entry, WireCache
 from ..ldap.protocol import (
     AddRequest,
     LdapResult,
@@ -87,6 +101,12 @@ CHAIN_DEPTH_OID = "1.3.6.1.4.1.57264.1.1"
 # zero, recursing forever on any peer that garbles the control.
 MALFORMED_CHAIN_DEPTH = 1 << 30
 
+# Seconds the self-monitor entry is held before it is recomputed (the
+# GRIS bounds the same entry the same way), and routes remembered
+# before the memo resets.
+_SELF_MONITOR_TTL = 1.0
+_MAX_ROUTES = 1024
+
 
 def _read_chain_depth(controls) -> int:
     from ..ldap import ber
@@ -123,7 +143,8 @@ class GiisIndex:
         """A registration timed out (soft-state purge)."""
 
     def on_unregister(self, registration: Registration) -> None:
-        """A provider explicitly left."""
+        """A provider explicitly left; handled as an expiry unless overridden."""
+        self.on_expire(registration)
 
 
 def _canonical_dn(dn: DN) -> str:
@@ -153,8 +174,9 @@ class RegistrationSuffixIndex(GiisIndex):
       base.
 
     Both use exact matching over canonical DN forms, so the candidate
-    set equals the DN-math answer (callers still intersect it with the
-    swept active list, which handles expiry).
+    set equals the DN-math answer.  It has no lock of its own: the GIIS
+    drives and reads it under the registry lock, from the membership
+    hooks; a refresh re-indexes only when the advertised suffix changed.
     """
 
     WITHIN = "regwithin"
@@ -165,59 +187,40 @@ class RegistrationSuffixIndex(GiisIndex):
             (self.WITHIN, self.EXACT),
             rules={self.WITHIN: CASE_EXACT, self.EXACT: CASE_EXACT},
         )
-        self._lock = threading.Lock()
+        self._indexed: Dict[str, str] = {}  # service URL -> suffix as indexed
 
     def _values(self, registration: Registration) -> Dict[str, List[str]]:
         suffix = registration.suffix_dn
+        if suffix is None:  # malformed suffix: never a target
+            return {}
         chain = [_canonical_dn(suffix)]
         chain.extend(_canonical_dn(a) for a in suffix.ancestors())
         return {self.WITHIN: chain, self.EXACT: [_canonical_dn(suffix)]}
 
-    def _reindex(self, registration: Registration) -> None:
-        try:
-            values = self._values(registration)
-        except Exception:  # noqa: BLE001 - malformed suffix: route via scan
-            values = {}
-        with self._lock:
-            self._index.discard(registration.service_url)
-            self._index.add(registration.service_url, lambda a: values.get(a, ()))
-
     def on_register(self, registration: Registration) -> None:
-        self._reindex(registration)
+        values = self._values(registration)
+        url = registration.service_url
+        self._index.discard(url)
+        self._index.add(url, lambda a: values.get(a, ()))
+        self._indexed[url] = registration.suffix_text
 
     def on_refresh(self, registration: Registration) -> None:
         # A refresh may legitimately advertise a new suffix (§5.2).
-        self._reindex(registration)
+        if self._indexed.get(registration.service_url) != registration.suffix_text:
+            self.on_register(registration)
 
     def on_expire(self, registration: Registration) -> None:
-        with self._lock:
-            self._index.discard(registration.service_url)
-
-    def on_unregister(self, registration: Registration) -> None:
-        self.on_expire(registration)
-
-    def rebuild(self, registrations: Iterable[Registration]) -> None:
-        with self._lock:
-            self._index.clear()
-        for registration in registrations:
-            self._reindex(registration)
+        self._index.discard(registration.service_url)
+        self._indexed.pop(registration.service_url, None)
 
     def targets(self, base: DN) -> Set[str]:
         """Service URLs whose namespace intersects *base*."""
         probes = [_canonical_dn(base)]
         probes.extend(_canonical_dn(a) for a in base.ancestors())
-        with self._lock:
-            eligible: Set[str] = set(
-                self._index.equality(self.WITHIN, probes[0]) or ()
-            )
-            for probe in probes:
-                hit = self._index.equality(self.EXACT, probe)
-                if hit:
-                    eligible.update(hit)
+        eligible: Set[str] = set(self._index.equality(self.WITHIN, probes[0]) or ())
+        for probe in probes:
+            eligible.update(self._index.equality(self.EXACT, probe) or ())
         return eligible
-
-    def __len__(self) -> int:
-        return len(self._index)
 
 
 class _QueryCacheSlot:
@@ -295,20 +298,24 @@ class GiisBackend(Backend):
             clock,
             grace=registration_grace,
             purge_interval=purge_interval,
-            on_register=self._fan_register,
-            on_expire=self._fan_expire,
-            on_unregister=self._fan_unregister,
+            on_register=lambda r: self._fan("on_register", r, ChangeType.ADD),
+            on_expire=lambda r: self._fan("on_expire", r, ChangeType.DELETE),
+            on_unregister=lambda r: self._fan("on_unregister", r, ChangeType.DELETE),
             accept=accept,
             metrics=self.metrics,
+            suffix=self.suffix,
         )
-        self.indexes: List[GiisIndex] = []
+        # Registrant selection is the first pluggable index: maintained
+        # from the same hooks as the rest, consulted by _route instead
+        # of per-query DN math over every active registration.
+        self._reg_index = RegistrationSuffixIndex()
+        self.indexes: List[GiisIndex] = [self._reg_index]
         # Default index_attrs for attached indexes that materialize
         # entries (e.g. EntryCacheIndex) but don't pick their own.
         self.index_attrs = tuple(index_attrs)
-        # Registrant selection: maintained from the same hooks as the
-        # pluggable indexes, consulted by _targets instead of per-query
-        # DN math over every active registration.
-        self._reg_index = RegistrationSuffixIndex()
+        # (membership, base) -> service URLs in membership order: what
+        # the index answered, reachable while that membership stands.
+        self._routes: Dict[Tuple[int, DN], Tuple[str, ...]] = {}
         # Persistent child connections: chained queries pipeline over a
         # few warm sockets per child instead of dialing per query.
         self.pool = LdapClientPool(
@@ -316,8 +323,8 @@ class GiisBackend(Backend):
         )
         # LRU over query outcomes: most-recently-hit keys live at the
         # tail, eviction pops the head.  Lookups run on executor
-        # workers, stores on child receive threads and clears on the
-        # GRRP path, so every access holds the lock.
+        # workers and stores on child receive threads, so every access
+        # holds the lock.
         self._query_cache: "OrderedDict[Tuple, _QueryCacheSlot]" = OrderedDict()
         self._query_cache_lock = threading.Lock()
         self._subs: Dict[int, Tuple[SearchRequest, int, ChangeCallback]] = {}
@@ -331,10 +338,12 @@ class GiisBackend(Backend):
         self._recovering = False
         self.replayed_registrations = 0
         # Self-monitoring (§6 meta-monitoring): when a HealthModel is
-        # attached, local_entries() carries this GIIS's own
+        # attached, the local view carries this GIIS's own
         # Mds-Server-* entry, so a parent directory aggregates it
         # through the same GRIP chaining as any resource data.
         self._self_monitor = None
+        self._monitor_held: Optional[Tuple[float, Entry]] = None
+        self._suffix_entry = self._build_suffix_entry()
         if self.storage is not None:
             self._recover_registrations()
 
@@ -344,42 +353,21 @@ class GiisBackend(Backend):
         self.indexes.append(index)
         index.attach(self)
 
-    def _fan_register(self, registration: Registration) -> None:
-        self._clear_query_cache()
-        self._reg_index.on_register(registration)
+    def _fan(self, event: str, registration: Registration, change: int) -> None:
+        """One membership hook.  The registry calls it under its lock, in
+        mutation order: indexes, log and subscribers see one history."""
         for index in self.indexes:
-            index.on_register(registration)
-        self._persist_put(registration)
-        self._notify_subs(self._registration_entry(registration), ChangeType.ADD)
-
-    def _fan_expire(self, registration: Registration) -> None:
-        self._clear_query_cache()
-        self._reg_index.on_expire(registration)
-        for index in self.indexes:
-            index.on_expire(registration)
-        self._persist_delete(registration)
-        self._notify_subs(self._registration_entry(registration), ChangeType.DELETE)
-
-    def _fan_unregister(self, registration: Registration) -> None:
-        self._clear_query_cache()
-        self._reg_index.on_unregister(registration)
-        for index in self.indexes:
-            index.on_unregister(registration)
-        self._persist_delete(registration)
-        self._notify_subs(self._registration_entry(registration), ChangeType.DELETE)
+            getattr(index, event)(registration)
+        entry = registration.entry
+        gone = change == ChangeType.DELETE
+        self._persist(ChangeOp.delete(entry.dn) if gone else ChangeOp.put(entry))
+        self._notify_subs(entry, change)
 
     # -- durable registration state --------------------------------------------
 
-    def _persist_put(self, registration: Registration) -> None:
-        if self.storage is None or self._recovering:
-            return
-        self.storage.apply(ChangeOp.put(self._registration_entry(registration)))
-
-    def _persist_delete(self, registration: Registration) -> None:
-        if self.storage is None or self._recovering:
-            return
-        dn = registration_dn(registration.service_url, self.suffix)
-        self.storage.apply(ChangeOp.delete(dn))
+    def _persist(self, op: ChangeOp) -> None:
+        if self.storage is not None and not self._recovering:
+            self.storage.apply(op)
 
     def _recover_registrations(self) -> None:
         """Warm restart: replay persisted registrations into the registry.
@@ -460,27 +448,23 @@ class GiisBackend(Backend):
     def _apply_grrp(
         self, message: GrrpMessage, identity: Optional[str] = None
     ) -> LdapResult:
-        was_known = self.registry.lookup(message.service_url) is not None
-        changed = self.registry.apply(message, identity)
-        if (
-            not changed
-            and message.notification_type == NotificationType.REGISTER
-            and not was_known
-        ):
+        # The registry fires the membership hooks under its lock; taking
+        # it here puts a refresh's fan-out in that same total order.
+        with self.registry.lock:
+            applied = self.registry.apply(message, identity)
+            if applied.kind == Applied.REFRESHED:
+                for index in self.indexes:
+                    index.on_refresh(applied.record)
+                # Refreshes extend valid_until; without re-persisting,
+                # recovery would resurrect the stale lifetime and purge
+                # a registrant that was alive moments before the crash.
+                self._persist(ChangeOp.put(applied.record.entry))
+        stranger = applied.kind == Applied.REFUSED and applied.record is None
+        if stranger and message.notification_type == NotificationType.REGISTER:
             return LdapResult(
                 ResultCode.INSUFFICIENT_ACCESS_RIGHTS,
                 message="registration refused by VO membership policy",
             )
-        if changed and was_known:
-            registration = self.registry.lookup(message.service_url)
-            if registration is not None:
-                self._reg_index.on_refresh(registration)
-                for index in self.indexes:
-                    index.on_refresh(registration)
-                # Refreshes extend valid_until; without re-persisting,
-                # recovery would resurrect the stale lifetime and purge
-                # a registrant that was alive moments before the crash.
-                self._persist_put(registration)
         return LdapResult()
 
     def handle_grrp_datagram(self, source, payload: bytes) -> None:
@@ -493,32 +477,57 @@ class GiisBackend(Backend):
 
     # -- local view ---------------------------------------------------------------
 
-    def _registration_entry(self, registration: Registration) -> Entry:
-        entry = registration.message.to_entry(self.suffix)
-        entry.put("regsource", registration.source_identity or "unknown")
-        return entry
-
-    def local_entries(self) -> List[Entry]:
-        """The entries the GIIS itself serves: suffix + registrations."""
-        suffix_entry = Entry(
+    def _build_suffix_entry(self) -> Entry:
+        entry = Entry(
             self.suffix,
             objectclass=["organization"] if self.suffix.rdns else ["top"],
         )
         if self.suffix.rdns:
-            suffix_entry.put(self.suffix.rdn.attr, self.suffix.rdn.value)
-        suffix_entry.put("description", f"GIIS for {self.vo_name}")
+            entry.put(self.suffix.rdn.attr, self.suffix.rdn.value)
+        entry.put("description", f"GIIS for {self.vo_name}")
         if self.url is not None:
-            suffix_entry.add_value("objectclass", "service")
-            suffix_entry.put("url", str(self.url))
-        out = [suffix_entry]
-        if self._self_monitor is not None:
-            health = self._self_monitor
-            rdn = RDN.single(
-                "mds-server-name", health.server_id or self.vo_name
-            )
-            out.append(health.entry(DN((rdn,) + self.suffix.rdns)))
-        for registration in self.registry.active():
-            out.append(self._registration_entry(registration))
+            entry.add_value("objectclass", "service")
+            entry.put("url", str(self.url))
+        entry._wire = WireCache()
+        return entry
+
+    def _heads(self) -> List[Entry]:
+        """The local entries that are not registrations: suffix, self-monitor."""
+        health = self._self_monitor
+        if health is None:
+            return [self._suffix_entry]
+        now = self.clock.now()
+        held = self._monitor_held
+        if held is None or now - held[0] > _SELF_MONITOR_TTL:
+            rdn = RDN.single("mds-server-name", health.server_id or self.vo_name)
+            entry = health.entry(DN((rdn,) + self.suffix.rdns))
+            entry._wire = WireCache()
+            held = self._monitor_held = (now, entry)
+        return [self._suffix_entry, held[1]]
+
+    def local_entries(self) -> List[Entry]:
+        """The entries the GIIS itself serves: suffix + registrations —
+        the served objects, shared with every search: read, never mutate."""
+        records = self.registry.generation().by_url.values()
+        return self._heads() + [record.entry for record in records]
+
+    def _local(
+        self, gen: Generation, base: DN, scope: Scope, match: Callable[[Entry], bool]
+    ) -> List[Entry]:
+        """The local entries inside (*base*, *scope*) that *match*;
+        *base* is within the suffix or above it."""
+        heads = self._heads()
+        below = len(base) - len(self.suffix)
+        if below > 0:
+            # Strictly below the suffix at most one local entry is in scope.
+            url = gen.by_dn.get(base)
+            heads = heads[1:] if url is None else [gen.by_url[url].entry]
+        out = [e for e in heads if _in_scope(e.dn, base, scope) and match(e)]
+        # Every registration sits one level under the suffix, so the
+        # first one's DN decides for the whole tier.
+        first = next(iter(gen.by_url.values()), None)
+        if below <= 0 and first is not None and _in_scope(first.entry.dn, base, scope):
+            out.extend(r.entry for r in gen.by_url.values() if match(r.entry))
         return out
 
     def enable_self_monitor(self, health) -> None:
@@ -527,7 +536,8 @@ class GiisBackend(Backend):
         *health* is an :class:`~repro.obs.health.HealthModel`; its
         ``mds-server-name=<id>`` entry joins the registration entries
         this GIIS serves, so fleet health rolls up the Figure-5
-        hierarchy through ordinary chained searches.
+        hierarchy through ordinary chained searches.  The entry is
+        rebuilt at most once a second, as the GRIS's self-provider is.
         """
         self._self_monitor = health
 
@@ -536,17 +546,25 @@ class GiisBackend(Backend):
 
     # -- search handling -------------------------------------------------------------
 
-    def _targets(self, base: DN) -> List[Registration]:
-        """Registrations whose advertised namespace intersects *base*."""
-        active = self.registry.active()
-        if len(self._reg_index) != len(active):
-            # Registrations that bypassed the hook path (tests poking the
-            # registry, malformed-suffix entries): rebuild and stay exact.
-            self._reg_index.rebuild(active)
-        eligible = self._reg_index.targets(base)
-        # Membership order (= registry order) is preserved: chaining
-        # fan-out and merge precedence depend on it.
-        return [r for r in active if r.service_url in eligible]
+    def _route(self, base: DN) -> Tuple[Generation, List[Registration]]:
+        """The current generation and its registrations whose advertised
+        namespace intersects *base*, in membership order (chaining
+        fan-out and merge precedence depend on it)."""
+        gen = self.registry.generation()
+        urls = self._routes.get((gen.membership, base))
+        if urls is None:
+            # The index moves with the membership under the registry
+            # lock, so under it the two agree.
+            with self.registry.lock:
+                gen = self.registry.generation()
+                by_url = gen.by_url
+                urls = tuple(
+                    sorted(self._reg_index.targets(base), key=lambda u: by_url[u].seq)
+                )
+                if len(self._routes) >= _MAX_ROUTES:
+                    self._routes.clear()
+                self._routes[(gen.membership, base)] = urls
+        return gen, [gen.by_url[url] for url in urls]
 
     def naming_contexts(self):
         return [str(self.suffix)]
@@ -600,28 +618,25 @@ class GiisBackend(Backend):
             )
             return handle
 
+        gen, targets = self._route(base)
         cache_key = None
         if self.cache_ttl > 0:
-            cache_key = (str(base).lower(), int(req.scope), str(req.filter))
+            # A membership change makes every older answer unreachable;
+            # a refresh does not (it is most of the GRRP traffic).
+            cache_key = (str(base).lower(), int(req.scope), str(req.filter), gen.membership)
             cached = self._cached_outcome(cache_key)
             if cached is not None:
                 if ctx.trace is not None:
                     ctx.trace.child("giis.cache", hit=True).finish()
                 return stream_outcome(cached, ctx, on_entry, on_done)
 
-        targets = self._targets(base)
-        match = compile_filter(req.filter)
         local = SearchOutcome(
-            entries=[
-                e
-                for e in self.local_entries()
-                if _in_scope(e.dn, base, req.scope) and match(e)
-            ]
+            entries=self._local(gen, base, req.scope, compile_filter(req.filter))
         )
         depth = _read_chain_depth(ctx.controls)
         chain = False
         if self.mode == "referral":
-            local.referrals = [_child_url(registration) for registration in targets]
+            local.referrals = [registration.referral for registration in targets]
         elif depth >= self.max_chain_depth:
             # Cycle or pathological hierarchy: answer with the local
             # view instead of recursing (partial results, §2.2).
@@ -779,10 +794,10 @@ class GiisBackend(Backend):
     def _cached_outcome(self, key) -> Optional[SearchOutcome]:
         """A private copy of the live answer cached under *key*, or None.
 
-        A miss also evicts TTL-expired slots (membership changes clear
-        wholesale): without that, distinct one-off queries accumulate
-        dead slots forever in a stable VO, and sweeping on the miss
-        path keeps the hit path a single dict probe.
+        A miss also evicts TTL-expired slots: without that, distinct
+        one-off queries (and answers keyed on a membership that has
+        moved on) accumulate dead slots, and sweeping on the miss path
+        keeps the hit path a single dict probe.
         """
         now = self.clock.now()
         with self._query_cache_lock:
@@ -813,10 +828,6 @@ class GiisBackend(Backend):
             while len(self._query_cache) > self.max_query_cache:
                 self._query_cache.popitem(last=False)
                 self._qcache_evictions.inc()
-
-    def _clear_query_cache(self) -> None:
-        with self._query_cache_lock:
-            self._query_cache.clear()
 
     # -- subscriptions over the membership view -----------------------------------------
 
@@ -1033,18 +1044,6 @@ class _StreamCollector:
                 self.cache_key, _QueryCacheSlot(cached, self.giis.clock.now())
             )
         self.on_done(outcome)
-
-
-def _child_url(registration: Registration) -> str:
-    """The referral URI for one registered provider."""
-    suffix = registration.message.metadata.get("suffix", "")
-    try:
-        url = LdapUrl.parse(registration.service_url)
-        if suffix:
-            url = url.with_dn(suffix)
-        return str(url)
-    except ValueError:
-        return registration.service_url
 
 
 def _copy_outcome(outcome: SearchOutcome) -> SearchOutcome:

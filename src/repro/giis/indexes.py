@@ -85,9 +85,6 @@ class NameIndex(GiisIndex):
         self._raw.pop(url, None)
         self._order.pop(url, None)
 
-    def on_unregister(self, registration: Registration) -> None:
-        self.on_expire(registration)
-
     def resolve(self, name: str) -> Optional[str]:
         urls = self._index.equality(self.NAME_ATTR, name)
         if not urls:
@@ -144,9 +141,6 @@ class PullIndex(GiisIndex):
     def on_expire(self, registration: Registration) -> None:
         self._cancel_refresh(registration)
         self.evict(registration)
-
-    def on_unregister(self, registration: Registration) -> None:
-        self.on_expire(registration)
 
     # -- pulling ------------------------------------------------------------------
 

@@ -331,11 +331,12 @@ class TestQueryCacheConsumesTheStream:
 
     def test_concurrent_lookups_stores_and_clears_keep_the_cache_sound(self):
         """Lookups sweep on executor workers, stores arrive on child
-        receive threads and the registry's membership hook clears: all
-        at once, nothing raises and the bound holds."""
+        receive threads and GRRP intake moves the membership the cache
+        keys on: all at once, nothing raises and the bound holds."""
         giis = GiisBackend("o=Grid", clock=Simulator(), cache_ttl=60.0, max_query_cache=32)
         giis.apply_grrp(reg_msg(suffix="o=Grid"))
-        member = giis.registry.lookup("ldap://gris1:2135/")
+        comer = reg_msg(url="ldap://gris2:2135/", suffix="o=Grid")
+        goer = GrrpMessage(comer.service_url, NotificationType.UNREGISTER)
         stop_at = time.monotonic() + 1.5
         errors = []
 
@@ -363,7 +364,7 @@ class TestQueryCacheConsumesTheStream:
             )
 
         def clear(i):
-            giis._fan_register(member)
+            giis.apply_grrp(goer if i % 2 else comer)
 
         threads = [loop(step) for step in (store, store, lookup, lookup, clear)]
         interval = sys.getswitchinterval()

@@ -161,7 +161,7 @@ class RegistryMachine(RuleBasedStateMachine):
         )
         changed = self.registry.apply(message)
         was_live = self.model.pop(url, None)
-        assert changed == (was_live is not None and was_live >= now)
+        assert bool(changed) == (was_live is not None and was_live >= now)
 
     @rule(dt=st.floats(min_value=0.1, max_value=50.0))
     def advance(self, dt):

@@ -56,6 +56,68 @@ class TestOneSearchPath:
             assert switch not in inspect.signature(cls.__init__).parameters
 
 
+class TestGiisSearchBuildsNothing:
+    """Per-message work stays per message: a GIIS search neither builds a
+    registration entry nor parses a URL, however many providers are in."""
+
+    def test_searches_build_no_entries_and_a_refresh_builds_one(self, monkeypatch):
+        import inspect
+
+        from repro.giis.core import GiisBackend
+        from repro.grip.messages import GrrpMessage
+        from repro.ldap.backend import RequestContext
+        from repro.ldap.dit import Scope
+        from repro.ldap.protocol import SearchRequest
+        from repro.ldap.url import LdapUrl
+        from repro.net.sim import Simulator
+
+        calls = {"to_entry": 0, "parse": 0}
+        to_entry, parse = GrrpMessage.to_entry, LdapUrl.parse.__func__
+
+        def counting_to_entry(self, *args, **kwargs):
+            calls["to_entry"] += 1
+            return to_entry(self, *args, **kwargs)
+
+        def counting_parse(cls, text):
+            calls["parse"] += 1
+            return parse(cls, text)
+
+        monkeypatch.setattr(GrrpMessage, "to_entry", counting_to_entry)
+        monkeypatch.setattr(LdapUrl, "parse", classmethod(counting_parse))
+
+        def message(k, ts):
+            return GrrpMessage(
+                f"ldap://node{k}:2135/", timestamp=ts, valid_until=ts + 600.0,
+                metadata={"suffix": f"hn=node{k}, o=Grid"},
+            )
+
+        giis = GiisBackend("o=Grid", clock=Simulator(), mode="referral")
+        for k in range(50):
+            giis.apply_grrp(message(k, 0.0))
+        assert calls == {"to_entry": 50, "parse": 50}
+
+        def search(base, scope):
+            entries, done = [], []
+            giis.submit_search_stream(
+                SearchRequest(base=base, scope=scope), RequestContext(),
+                entries.append, done.append,
+            )
+            return len(entries), len(done[0].referrals)
+
+        calls.update(to_entry=0, parse=0)
+        for i in range(100):
+            assert search(f"hn=node{i % 50}, o=Grid", Scope.SUBTREE) == (0, 1)  # discovery
+            assert search("o=Grid", Scope.SUBTREE) == (51, 50)  # VO-wide
+        assert calls == {"to_entry": 0, "parse": 0}
+
+        giis.apply_grrp(message(7, 1.0))  # one refresh: one entry, the referral carried over
+        assert calls == {"to_entry": 1, "parse": 0}
+
+        # and the search path never asks the registry for a copied list
+        for method in ("submit_search_stream", "_route", "_local", "local_entries"):
+            assert "registry.active()" not in inspect.getsource(getattr(GiisBackend, method))
+
+
 class TestServerFilteringMatchesLocalSemantics:
     """Cross-check: entries a server returns for a filter are exactly
     the entries whose full content matches the filter locally."""
