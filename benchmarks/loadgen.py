@@ -43,7 +43,7 @@ from repro.ldap.executor import RequestExecutor
 from repro.ldap.filter import parse as parse_filter
 from repro.ldap.protocol import SearchRequest
 from repro.ldap.server import LdapServer
-from repro.net import make_endpoint
+from repro.net import ReactorEndpoint
 from repro.net.clock import WallClock
 from repro.obs import (
     HealthModel,
@@ -472,8 +472,7 @@ def _monitor_server(clock, closers, server_name: str, metrics_interval: float):
 
 def _serve_metrics(metrics, health, endpoint, clock, closers) -> str:
     http = MetricsHttpServer(
-        metrics, reactor=getattr(endpoint, "reactor", None),
-        health=health, clock_now=clock.now,
+        metrics, endpoint.reactor, health=health, clock_now=clock.now
     )
     port = http.start(0)
     closers.append(http.close)
@@ -484,7 +483,6 @@ def build_vo(
     n_gris: int,
     hosts_per_gris: int,
     children_per_host: int = 20,
-    transport: str = "reactor",
     workers: int = 4,
     monitor: bool = False,
     metrics_interval: float = 0.5,
@@ -512,7 +510,7 @@ def build_vo(
             backend, clock=clock, executor=executor,
             metrics=metrics, name=f"gris{g}",
         )
-        endpoint = make_endpoint(transport, metrics=metrics)
+        endpoint = ReactorEndpoint(metrics=metrics)
         port = endpoint.listen(0, server.handle_connection)
         if monitor:
             health.server_id = f"127.0.0.1:{port}"
@@ -529,7 +527,7 @@ def build_vo(
         front_metrics, front_recorder, front_health, front_mon = (
             _monitor_server(clock, closers, "giis", metrics_interval)
         )
-    chain_endpoint = make_endpoint(transport, metrics=front_metrics)
+    chain_endpoint = ReactorEndpoint(metrics=front_metrics)
     closers.append(chain_endpoint.close)
     giis = GiisBackend(
         "o=Grid",
@@ -557,7 +555,7 @@ def build_vo(
         workers=workers, queue_limit=4096, metrics=front_metrics,
         clock=clock, name="giis",
     )
-    front = make_endpoint(transport, metrics=front_metrics)
+    front = ReactorEndpoint(metrics=front_metrics)
     server = LdapServer(
         front_backend, clock=clock, executor=front_executor,
         metrics=front_metrics, name="giis",

@@ -28,7 +28,7 @@ from repro.ldap.entry import Entry
 from repro.ldap.executor import RequestExecutor
 from repro.ldap.protocol import ResultCode, SearchRequest
 from repro.ldap.server import LdapServer
-from repro.net.tcp import TcpEndpoint
+from repro.net.reactor import ReactorEndpoint
 from repro.testbed.metrics import fmt_table
 
 SLOW_S = 0.5  # simulated provider stall
@@ -54,7 +54,7 @@ def serve(backend, workers, queue_limit=64, default_time_limit=0.0):
     server = LdapServer(
         backend, executor=executor, default_time_limit=default_time_limit
     )
-    endpoint = TcpEndpoint()
+    endpoint = ReactorEndpoint()
     port = endpoint.listen(0, server.handle_connection)
     return endpoint, port, server
 

@@ -36,7 +36,7 @@ from repro.ldap.dit import DIT, Scope
 from repro.ldap.dn import intern_cache_stats
 from repro.ldap.executor import RequestExecutor
 from repro.ldap.server import LdapServer
-from repro.net import make_endpoint
+from repro.net import ReactorEndpoint
 from repro.net.transport import ConnectionClosed
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import RingSink, Tracer
@@ -86,9 +86,9 @@ class Gris:
             metrics=self.metrics,
             tracer=self.tracer,
         )
-        self.endpoint = make_endpoint("reactor")
+        self.endpoint = ReactorEndpoint()
         self.port = self.endpoint.listen(0, self.server.handle_connection)
-        self.client_endpoint = make_endpoint("reactor")
+        self.client_endpoint = ReactorEndpoint()
 
     def connect(self):
         for attempt in range(3):
@@ -181,7 +181,7 @@ def test_loadgen_fast_lanes(report):
     # the Figure-5 hierarchy: M GRIS behind one GIIS front end
     n_gris = 2 if QUICK else 4
     vo = build_vo(n_gris, hosts_per_gris=6, children_per_host=4)
-    vo_endpoint = make_endpoint("reactor")
+    vo_endpoint = ReactorEndpoint()
     try:
         giis_workload = Workload(
             name="vo-wide-host-lookup",

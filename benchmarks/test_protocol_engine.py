@@ -20,7 +20,7 @@ from repro.ldap.entry import Entry
 from repro.ldap.filter import parse as parse_filter
 from repro.ldap.protocol import SearchRequest
 from repro.ldap.server import LdapServer
-from repro.net.tcp import TcpEndpoint
+from repro.net.reactor import ReactorEndpoint
 
 
 def seed_dit(n=100):
@@ -43,7 +43,7 @@ def seed_dit(n=100):
 
 @pytest.fixture(scope="module")
 def tcp_stack():
-    endpoint = TcpEndpoint()
+    endpoint = ReactorEndpoint()
     backend = DitBackend(seed_dit())
     server = LdapServer(backend)
     port = endpoint.listen(0, server.handle_connection)
@@ -173,7 +173,7 @@ def test_report_server_latency_histogram(benchmark, report):
 
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     metrics = MetricsRegistry()
-    endpoint = TcpEndpoint(metrics=metrics)
+    endpoint = ReactorEndpoint(metrics=metrics)
     backend = MonitoredBackend(
         DitBackend(seed_dit()), MonitorBackend(metrics, server_name="bench")
     )

@@ -1,13 +1,12 @@
 """E19 — the event-loop transport at VO scale, and pooled GIIS chaining.
 
 The MDS performance studies (Zhang, Freschl & Schopf; PAPERS.md) ran
-directory servers against hundreds-to-thousands of concurrent users —
-exactly where a thread-per-connection transport runs out of scheduler.
+directory servers against hundreds-to-thousands of concurrent users.
 This bench measures, over real loopback sockets:
 
 * **concurrency ladder** — N clients each open a connection and run one
-  search, server on the selector reactor vs thread-per-connection; the
-  reactor must sustain 5k concurrent clients on one event-loop thread;
+  search; the server must sustain 5k concurrent clients on one
+  event-loop thread;
 * **pooled chaining** — a GIIS front end chaining to child servers over
   warm pooled connections vs dialing each child per query (the pre-pool
   behavior, emulated by clearing the pool between queries).
@@ -37,7 +36,7 @@ from repro.ldap.entry import Entry
 from repro.ldap.executor import RequestExecutor
 from repro.ldap.protocol import SearchRequest
 from repro.ldap.server import LdapServer
-from repro.net import make_endpoint
+from repro.net import ReactorEndpoint
 from repro.net.clock import WallClock
 from repro.net.transport import ConnectionClosed
 from repro.testbed.metrics import fmt_table
@@ -58,10 +57,10 @@ def small_dit(extra=()):
     return dit
 
 
-def serve(dit, transport, queue_limit=1024, workers=4):
+def serve(dit, queue_limit=1024, workers=4):
     executor = RequestExecutor(workers=workers, queue_limit=queue_limit)
     server = LdapServer(DitBackend(dit), executor=executor)
-    endpoint = make_endpoint(transport)
+    endpoint = ReactorEndpoint()
     port = endpoint.listen(0, server.handle_connection)
     return endpoint, port, executor
 
@@ -79,18 +78,15 @@ def dial(endpoint, port, attempts=3):
 # -- part A: concurrency ladder ---------------------------------------------
 
 
-def concurrency_run(transport, n_clients):
+def concurrency_run(n_clients):
     """N live connections, one search each, all in flight at once.
 
-    The client side always runs on the reactor (one loop thread for all
-    N sockets) so the server transport is the only variable.
+    Server and clients each run on their own endpoint: one loop thread
+    for the N accepted sockets, one for the N dialed ones.
     """
-    endpoint, port, executor = serve(
-        small_dit(), transport, queue_limit=4 * n_clients
-    )
-    backend_endpoint = make_endpoint("reactor")  # client side
+    endpoint, port, executor = serve(small_dit(), queue_limit=4 * n_clients)
+    backend_endpoint = ReactorEndpoint()  # client side
     row = {
-        "transport": transport,
         "clients": n_clients,
         "dial_failures": 0,
         "completed": 0,
@@ -155,12 +151,12 @@ def chained_query_latencies(pooled):
             entry = Entry(
                 f"hn=r{i}, o=Grid", objectclass="computer", hn=f"r{i}"
             )
-            ep, port, ex = serve(small_dit([entry]), "reactor", workers=2)
+            ep, port, ex = serve(small_dit([entry]), workers=2)
             child_endpoints.append(ep)
             executors.append(ex)
             child_ports.append(port)
 
-        chain_endpoint = make_endpoint("reactor")
+        chain_endpoint = ReactorEndpoint()
         child_endpoints.append(chain_endpoint)
         giis = GiisBackend(
             "o=Grid",
@@ -181,7 +177,7 @@ def chained_query_latencies(pooled):
 
         front_executor = RequestExecutor(workers=4, queue_limit=256)
         executors.append(front_executor)
-        front = make_endpoint("reactor")
+        front = ReactorEndpoint()
         child_endpoints.append(front)
         server = LdapServer(giis, clock=clock, executor=front_executor)
         port = front.listen(0, server.handle_connection)
@@ -210,10 +206,7 @@ def pctl(samples, q):
 
 
 def test_reactor_scale(report):
-    rows = []
-    for transport in ("reactor", "threads"):
-        for n in LADDER:
-            rows.append(concurrency_run(transport, n))
+    rows = [concurrency_run(n) for n in LADDER]
 
     pooled_lat, pooled_dials = chained_query_latencies(pooled=True)
     dialed_lat, dialed_dials = chained_query_latencies(pooled=False)
@@ -236,12 +229,12 @@ def test_reactor_scale(report):
         f"concurrent clients over real loopback sockets "
         f"({'quick mode' if QUICK else 'full mode'})\n"
         + fmt_table(
-            ["server transport", "clients", "completed", "errors",
-             "dial s", "query s", "timed out"],
+            ["clients", "completed", "errors", "dial s", "query s",
+             "timed out"],
             [
                 (
-                    r["transport"], r["clients"], r["completed"],
-                    r["errors"], r["dial_s"], r["query_s"], r["timed_out"],
+                    r["clients"], r["completed"], r["errors"],
+                    r["dial_s"], r["query_s"], r["timed_out"],
                 )
                 for r in rows
             ],
@@ -282,9 +275,8 @@ def test_reactor_scale(report):
 
     # The reactor sustains the full ladder: every client answered.
     for r in rows:
-        if r["transport"] == "reactor":
-            assert r["completed"] == r["clients"], r
-            assert not r["timed_out"], r
+        assert r["completed"] == r["clients"], r
+        assert not r["timed_out"], r
     # Warm pooled chaining beats dialing every child per query.
     assert pool_rows[0][1] < pool_rows[1][1], pool_rows
     assert pooled_dials <= N_CHILDREN * 2  # bounded warm connections

@@ -54,7 +54,7 @@ from repro.ldap.dit import DIT, Scope
 from repro.ldap.executor import RequestExecutor
 from repro.ldap.ldif import format_ldif
 from repro.ldap.server import LdapServer
-from repro.net import make_endpoint
+from repro.net import ReactorEndpoint
 from repro.net.clock import WallClock
 from repro.net.transport import ConnectionClosed
 from repro.obs import (
@@ -133,7 +133,7 @@ class Gris:
             metrics=self.metrics,
             clock=self.clock,
         )
-        self.endpoint = make_endpoint("reactor", metrics=self.metrics)
+        self.endpoint = ReactorEndpoint(metrics=self.metrics)
         self.port = self.endpoint.listen(0, self.server.handle_connection)
         if monitored:
             self.health.server_id = f"127.0.0.1:{self.port}"
@@ -145,7 +145,7 @@ class Gris:
                 clock_now=self.clock.now,
             )
             self.metrics_port = self.http.start(0)
-        self.client_endpoint = make_endpoint("reactor")
+        self.client_endpoint = ReactorEndpoint()
 
     def connect(self):
         for attempt in range(3):
@@ -319,7 +319,7 @@ def test_selfmonitor_overhead_and_fleet(report):
         monitor=True,
         metrics_interval=0.5,
     )
-    vo_endpoint = make_endpoint("reactor")
+    vo_endpoint = ReactorEndpoint()
     scraper = MetricsScraper(
         vo.metrics_urls,
         interval=0.5,

@@ -37,7 +37,7 @@ from repro.ldap.entry import Entry
 from repro.ldap.filter import parse
 from repro.ldap.server import LdapServer
 from repro.net.clock import WallClock
-from repro.net.tcp import TcpEndpoint
+from repro.net.reactor import ReactorEndpoint
 from repro.obs import JsonlSink, Tracer
 from repro.testbed import GridTestbed
 from repro.testbed.metrics import fmt_table
@@ -75,8 +75,8 @@ class Mode:
             )
         )
         server = LdapServer(backend, clock=clock, tracer=tracer)
-        self.endpoint = TcpEndpoint()
-        self.client_ep = TcpEndpoint()
+        self.endpoint = ReactorEndpoint()
+        self.client_ep = ReactorEndpoint()
         port = self.endpoint.listen(0, server.handle_connection)
         self.client = LdapClient(self.client_ep.connect(("127.0.0.1", port)))
 

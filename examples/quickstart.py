@@ -27,7 +27,7 @@ from repro.ldap.dit import Scope
 from repro.ldap.ldif import format_ldif
 from repro.ldap.server import LdapServer
 from repro.net.clock import WallClock
-from repro.net.tcp import TcpEndpoint
+from repro.net.reactor import ReactorEndpoint
 
 
 def main() -> None:
@@ -57,7 +57,7 @@ def main() -> None:
     )
 
     # -- 2. serve it over real TCP -------------------------------------------
-    endpoint = TcpEndpoint()
+    endpoint = ReactorEndpoint()
     server = LdapServer(gris, name="quickstart-gris")
     port = endpoint.listen(0, server.handle_connection)
     print(f"GRIS for {hostname} listening on ldap://127.0.0.1:{port}/{suffix}\n")

@@ -1,8 +1,9 @@
 """LDAP client: the consumer side of GRIP.
 
 The client is callback-driven so the same code runs on the simulator
-(single-threaded, virtual time) and over TCP (reader threads).  Every
-async method takes one completion callback with the uniform signature
+(single-threaded, virtual time) and over TCP (callbacks on the
+reactor's loop thread).  Every async method takes one completion
+callback with the uniform signature
 ``on_done(outcome, error)``: *outcome* is always the accumulated
 :class:`SearchResult` (entries/referrals/result), and *error* is
 ``None`` on success or the :class:`LdapError` describing a non-success

@@ -989,6 +989,8 @@ def decode_message(data: "bytes | memoryview") -> LdapMessage:
                     if not c.at_end():
                         value = c.read_octet_string()
                     controls.append(Control(oid, criticality, value))
-    except BerError as exc:
+    except ProtocolError:
+        raise
+    except ValueError as exc:  # BerError, bad UTF-8, out-of-range enum
         raise ProtocolError(f"bad LDAPMessage body: {exc}") from exc
     return LdapMessage(message_id, op, tuple(controls))

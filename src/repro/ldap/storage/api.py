@@ -23,8 +23,7 @@ pluggable the way production descendants split their storage layers
   already passed before the crash.
 * :func:`make_storage` — the validated factory behind the
   ``grid-info-server`` ``"storage"`` config object and the
-  ``--storage``/``--data-dir`` flags (mirroring the ``--transport``
-  endpoint factory).
+  ``--storage``/``--data-dir`` flags.
 """
 
 from __future__ import annotations

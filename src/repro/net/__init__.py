@@ -1,11 +1,10 @@
 """Distributed substrate: clocks, discrete-event simulation, transports.
 
-One :class:`~repro.net.transport.Endpoint` interface with three
-implementations — a deterministic simulator (:mod:`repro.net.simnet`)
-for the partition/loss experiments, and two real TCP/UDP transports
-proving the wire protocol is real: thread-per-connection
-(:mod:`repro.net.tcp`) and a single-threaded selector reactor
-(:mod:`repro.net.reactor`) for high client counts.
+One :class:`~repro.net.transport.Endpoint` interface with two
+implementations: a deterministic simulator (:mod:`repro.net.simnet`)
+for the partition/loss experiments, and the real TCP/UDP transport
+(:mod:`repro.net.reactor`), a selector event loop that multiplexes
+every socket on one thread.
 """
 
 from typing import Optional
@@ -15,7 +14,6 @@ from .links import LAN, LOCAL, WAN, LinkModel
 from .reactor import Reactor, ReactorConnection, ReactorEndpoint
 from .sim import SimulationError, Simulator
 from .simnet import SimConnection, SimNetwork, SimNode
-from .tcp import TcpConnection, TcpEndpoint
 from .transport import (
     Address,
     Connection,
@@ -38,8 +36,6 @@ __all__ = [
     "SimConnection",
     "SimNetwork",
     "SimNode",
-    "TcpConnection",
-    "TcpEndpoint",
     "Reactor",
     "ReactorConnection",
     "ReactorEndpoint",
@@ -49,12 +45,8 @@ __all__ = [
     "ConnectionHandler",
     "Endpoint",
     "TransportError",
-    "TRANSPORTS",
     "make_endpoint",
 ]
-
-# Real-wire transport registry, keyed by the --transport flag values.
-TRANSPORTS = ("reactor", "threads")
 
 
 def make_endpoint(
@@ -62,17 +54,14 @@ def make_endpoint(
     host: str = "127.0.0.1",
     metrics: Optional[object] = None,
 ):
-    """Build a real-wire endpoint by transport name.
+    """Build a :class:`ReactorEndpoint`; *transport* must be ``"reactor"``.
 
-    ``"reactor"`` multiplexes every socket on one event-loop thread
-    (scales to thousands of clients); ``"threads"`` spawns a reader
-    thread per connection (simplest, fine for a handful of peers).
-    Both speak the identical framing, so they interoperate freely.
+    Kept only because ``benchmarks/gridbench/run.py`` calls it by name
+    and that directory changes in benchmark-only PRs; the next one
+    drops it.  Everything else constructs :class:`ReactorEndpoint`.
     """
-    if transport in ("reactor", "event-loop", "selector"):
-        return ReactorEndpoint(host, metrics=metrics)
-    if transport in ("threads", "thread", "tcp"):
-        return TcpEndpoint(host, metrics=metrics)
-    raise ValueError(
-        f"unknown transport {transport!r}; expected one of {TRANSPORTS}"
-    )
+    if transport != "reactor":
+        raise ValueError(
+            f"unknown transport {transport!r}; the only one is 'reactor'"
+        )
+    return ReactorEndpoint(host, metrics=metrics)

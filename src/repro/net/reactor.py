@@ -1,20 +1,18 @@
-"""Event-loop TCP transport: one thread multiplexing every socket.
+"""The real-wire transport: one event-loop thread multiplexing every socket.
 
-The thread-per-connection transport (:mod:`repro.net.tcp`) spends one
-OS thread per connection on blocked ``recv`` calls, which caps a server
-at a few hundred concurrent clients — exactly the multi-user regime
-where the MDS performance studies measured the original implementation
-falling over.  This module rebuilds the real-wire path on a selector
-reactor: a single loop thread owns *all* sockets (listeners, stream
-connections, datagram sockets) and dispatches readiness events, so the
+A single loop thread owns *all* sockets (listeners, stream connections,
+datagram sockets) on a selector and dispatches readiness events, so the
 per-client cost is one file descriptor and a few hundred bytes of
-buffer state instead of a thread.
+buffer state.  That is what lets one server hold thousands of
+concurrent clients, the multi-user regime where the MDS performance
+studies measured the original implementation falling over.
 
-The interface is byte-identical to :mod:`repro.net.tcp`: the same
-4-byte length framing, the same :class:`~repro.net.transport.Connection`
-and ``Endpoint`` contracts, the same metric names — servers and clients
-cannot tell which transport they are speaking over.  The deterministic
-simulator path (:mod:`repro.net.simnet`) is untouched.
+Messages are framed with a 4-byte big-endian length prefix so the
+message-preserving :class:`~repro.net.transport.Connection` contract
+holds over a byte stream; datagrams map onto UDP.  The deterministic
+simulator (:mod:`repro.net.simnet`) implements the same ``Connection``
+and ``Endpoint`` contracts, so servers and clients cannot tell which
+of the two they are speaking over.
 
 Threading rules:
 
@@ -39,12 +37,12 @@ import collections
 import logging
 import selectors
 import socket
+import struct
 import threading
 import weakref
 from typing import Callable, Deque, Dict, List, Optional
 
 from ..obs.metrics import MetricsRegistry
-from .tcp import _HEADER, MAX_FRAME
 from .transport import (
     Address,
     Connection,
@@ -56,6 +54,9 @@ from .transport import (
 __all__ = ["Reactor", "ReactorConnection", "ReactorEndpoint"]
 
 log = logging.getLogger(__name__)
+
+_HEADER = struct.Struct("!I")
+MAX_FRAME = 64 * 1024 * 1024  # defensive bound on frame size
 
 _READ = selectors.EVENT_READ
 _WRITE = selectors.EVENT_WRITE
@@ -195,10 +196,8 @@ class Reactor:
 class ReactorConnection:
     """A framed TCP connection multiplexed on a :class:`Reactor`.
 
-    Same wire format and :class:`~repro.net.transport.Connection`
-    semantics as :class:`~repro.net.tcp.TcpConnection`, without the
-    reader thread: reads are dispatched by the loop, writes go direct
-    from the sender when the socket has room.
+    Reads are dispatched by the loop; writes go direct from the sender
+    when the socket has room.
     """
 
     def __init__(
@@ -208,6 +207,8 @@ class ReactorConnection:
         metrics: Optional[MetricsRegistry] = None,
     ):
         sock.setblocking(False)
+        # Request/response exchanges are many small frames; Nagle +
+        # delayed ACK would add ~40ms to every multi-message response.
         try:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         except OSError:
@@ -216,8 +217,6 @@ class ReactorConnection:
         self._sock = sock
         self._metrics = metrics
         if metrics is not None:
-            # Same metric names as the threaded transport, so dashboards
-            # aggregate traffic regardless of which transport carried it.
             self._frames_in = metrics.counter("tcp.frames.received")
             self._bytes_in = metrics.counter("tcp.bytes.received")
             self._frames_out = metrics.counter("tcp.frames.sent")
@@ -235,9 +234,9 @@ class ReactorConnection:
         self._inbox: List[bytes] = []
         self._closed = False
         self._state_lock = threading.Lock()
-        # Serializes delivery to the receiver callback exactly like
-        # TcpConnection: the loop's frame dispatch and set_receiver's
-        # backlog drain both take it, preserving arrival order.  RLock,
+        # Serializes delivery to the receiver callback: the loop's frame
+        # dispatch and set_receiver's backlog drain both take it, so
+        # messages are handed over strictly in arrival order.  RLock,
         # because a callback may itself swap the receiver.
         self._deliver_lock = threading.RLock()
         self._local: Address = sock.getsockname()[:2]
@@ -299,6 +298,12 @@ class ReactorConnection:
             self._bytes_out.inc(len(message))
 
     def set_receiver(self, callback: Callable[[bytes], None]) -> None:
+        # The backlog drain must be serialized against the loop: draining
+        # outside the lock would let the loop deliver a newer frame
+        # directly to the callback while older backlog frames are still
+        # in flight here.  _deliver_lock (not _state_lock) carries the
+        # callback calls so a receiver that closes the connection cannot
+        # deadlock on state.
         with self._deliver_lock:
             with self._state_lock:
                 self._receiver = callback
@@ -413,25 +418,28 @@ class ReactorConnection:
             if end > total:
                 break
             self._deliver(view[offset + _HEADER.size : end], length)
+            if self._closed:
+                return  # the receiver hung up: the rest is not for it
             offset = end
         if offset < total:
             self._rbuf += view[offset:]
 
     def _drain_rbuf(self) -> None:
         buf = self._rbuf
-        while True:
+        while not self._closed:
             if len(buf) < _HEADER.size:
                 return
             (length,) = _HEADER.unpack_from(buf)
             if length > MAX_FRAME:
                 self._mark_closed()
-                return
+                break
             end = _HEADER.size + length
             if len(buf) < end:
                 return
             payload = bytes(buf[_HEADER.size:end])
             del buf[:end]
             self._deliver(payload, length)
+        buf.clear()  # closed: what is buffered is for nobody
 
     def _deliver(self, payload: "bytes | memoryview", length: int) -> None:
         if self._metrics is not None:
@@ -445,7 +453,13 @@ class ReactorConnection:
                     # backlogged frames must own their bytes.
                     self._inbox.append(bytes(payload))
                     return
-            receiver(payload)
+            try:
+                receiver(payload)
+            except Exception:  # noqa: BLE001 - receiver bug, not ours
+                # It may have died half way through a request, so no
+                # later frame can be dispatched against its state.
+                self._reactor._count_error("receive callback")
+                self._mark_closed()
 
     # -- teardown ------------------------------------------------------------
 
@@ -477,9 +491,7 @@ class ReactorConnection:
 class ReactorEndpoint:
     """Endpoint whose sockets are all multiplexed on one event loop.
 
-    Drop-in for :class:`~repro.net.tcp.TcpEndpoint` — same constructor
-    shape, same Endpoint protocol, same framing on the wire — but
-    ``listen``/``connect`` cost a registration instead of a thread, so
+    ``listen``/``connect`` cost a registration, not a thread, so
     thousands of concurrent connections are one loop's bookkeeping.
     """
 
@@ -500,6 +512,10 @@ class ReactorEndpoint:
         self._udp_send_lock = threading.Lock()
         self._udp_send: Optional[socket.socket] = None
         self._closing = False
+        # Every connection this endpoint accepted or dialed, so close()
+        # can propagate: each connection's close handler fires, letting
+        # servers cancel in-flight work and clients fail pending ops.
+        # Weak, so a connection both sides forgot can be collected.
         self._conns: "weakref.WeakSet[ReactorConnection]" = weakref.WeakSet()
 
     @property
@@ -551,9 +567,9 @@ class ReactorEndpoint:
                     except OSError:
                         pass
                     continue
-                # One bad handshake must not stop the listener: count it,
-                # drop the connection, keep accepting (same policy as the
-                # threaded transport).
+                # One bad handshake must not stop the listener for every
+                # future client: count it, drop the connection, keep
+                # accepting.
                 try:
                     handler(conn)
                 except Exception:  # noqa: BLE001 - handler bug, not ours

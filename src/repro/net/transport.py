@@ -1,4 +1,4 @@
-"""Transport interfaces shared by the simulator and real TCP.
+"""Transport interfaces shared by the simulator and the real wire.
 
 Two delivery styles, mirroring the paper's protocol split:
 
@@ -9,7 +9,8 @@ Two delivery styles, mirroring the paper's protocol split:
   registered datagram handler.
 
 Servers implement :class:`ConnectionHandler`; the same handler object
-serves simulated and TCP endpoints.
+serves a simulated node (:mod:`repro.net.simnet`) and a TCP endpoint
+(:mod:`repro.net.reactor`).
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ class ConnectionHandler(Protocol):
 
 
 class Endpoint(Protocol):
-    """A network attachment point (simulated node or TCP stack wrapper).
+    """A network attachment point (simulated node or reactor endpoint).
 
     Provides client connects, server listeners, and unreliable datagrams.
     """

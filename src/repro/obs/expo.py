@@ -232,32 +232,26 @@ def parse_exposition(text: str) -> Dict[str, Dict[str, object]]:
 class MetricsHttpServer:
     """``/metrics`` (exposition) and ``/health`` (JSON rollup) over HTTP.
 
-    Rides an existing :class:`Reactor` when the service runs the
-    event-loop transport — metrics scrapes then share the loop with the
-    LDAP traffic they describe — or spins up a private one for the
-    thread-per-connection transport.
+    Rides the caller's :class:`Reactor` — the service's own, so metrics
+    scrapes share the loop with the LDAP traffic they describe — and
+    never stops it.
     """
 
     def __init__(
         self,
         metrics: MetricsRegistry,
+        reactor: "Reactor",
         host: str = "127.0.0.1",
-        reactor: Optional["Reactor"] = None,
         health=None,
         clock_now=None,
     ):
         # Imported here, not at module top: obs loads before net.
         from ..net.httpd import HttpListener
-        from ..net.reactor import Reactor
 
         self.metrics = metrics
         self.health = health
         self._clock_now = clock_now
-        self._own_reactor = reactor is None
-        self._reactor = (
-            reactor if reactor is not None else Reactor(name="metrics-http")
-        )
-        self._listener = HttpListener(self._reactor, self._handle, host=host)
+        self._listener = HttpListener(reactor, self._handle, host=host)
         self.bound_port: Optional[int] = None
 
     def start(self, port: int = 0) -> int:
@@ -280,5 +274,3 @@ class MetricsHttpServer:
 
     def close(self) -> None:
         self._listener.close()
-        if self._own_reactor:
-            self._reactor.stop()

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 from ..ldap.client import LdapClient, LdapError
 from ..ldap.dit import Scope
 from ..ldap.ldif import format_ldif
-from ..net.tcp import TcpEndpoint
+from ..net.reactor import ReactorEndpoint
 from ..net.transport import ConnectionClosed
 
 __all__ = ["main"]
@@ -62,11 +62,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     out = out or sys.stdout
     args = build_parser().parse_args(argv)
-    endpoint = TcpEndpoint()
+    endpoint = ReactorEndpoint()
     try:
         conn = endpoint.connect((args.host, args.port))
     except ConnectionClosed as exc:
         print(f"grid-info-search: cannot connect: {exc}", file=sys.stderr)
+        endpoint.close()
         return 2
     client = LdapClient(conn)
     if args.credential:
@@ -76,7 +77,8 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
         from ..security.gsi import make_token
 
         try:
-            credential = credential_from_json(open(args.credential).read())
+            with open(args.credential) as fh:
+                credential = credential_from_json(fh.read())
         except (OSError, CertError) as exc:
             print(f"grid-info-search: bad credential: {exc}", file=sys.stderr)
             client.unbind()

@@ -22,8 +22,8 @@ from ..ldap.executor import RequestExecutor
 from ..ldap.server import LdapServer
 from ..ldap.storage import BACKENDS, StorageSpec
 from ..ldap.url import LdapUrl
-from ..net import TRANSPORTS, make_endpoint
 from ..net.clock import WallClock
+from ..net.reactor import ReactorEndpoint
 from ..obs import (
     HealthModel,
     JsonlSink,
@@ -75,19 +75,11 @@ def build_parser() -> argparse.ArgumentParser:
         "quantiles (default 1.0)",
     )
     parser.add_argument(
-        "--transport",
-        choices=TRANSPORTS,
-        default="reactor",
-        help="real-wire transport: 'reactor' multiplexes every socket on "
-        "one event-loop thread (scales to thousands of clients), "
-        "'threads' spawns a reader thread per connection",
-    )
-    parser.add_argument(
         "--workers",
         type=int,
         default=8,
         help="search executor threads (0 = run searches inline on the "
-        "reader thread, serializing each connection)",
+        "event-loop thread, serializing every connection)",
     )
     parser.add_argument(
         "--queue-limit",
@@ -189,7 +181,6 @@ def start_server(config_path: str, host: str = "127.0.0.1", port: int = 0,
                  trace_sample_rate: Optional[float] = None,
                  slow_query_ms: Optional[float] = None,
                  server_id: Optional[str] = None,
-                 transport: str = "reactor",
                  storage: Optional[str] = None,
                  data_dir: Optional[str] = None,
                  metrics_port: Optional[int] = None,
@@ -256,7 +247,7 @@ def start_server(config_path: str, host: str = "127.0.0.1", port: int = 0,
 
     # The endpoint exists before the backend: a GIIS-mode server dials
     # its registered children through this same transport.
-    endpoint = make_endpoint(transport, host, metrics=metrics)
+    endpoint = ReactorEndpoint(host, metrics=metrics)
     if config.giis is not None:
         core = build_giis(
             config, clock=clock, metrics=metrics,
@@ -309,11 +300,8 @@ def start_server(config_path: str, host: str = "127.0.0.1", port: int = 0,
         server.recorder = recorder
         server.health = health
         if metrics_port is not None:
-            # Ride the transport's own loop when there is one; a private
-            # loop only appears for the thread-per-connection transport.
             metrics_http = MetricsHttpServer(
-                metrics, host=host,
-                reactor=getattr(endpoint, "reactor", None),
+                metrics, endpoint.reactor, host=host,
                 health=health, clock_now=clock.now,
             )
             server.metrics_bound = metrics_http.start(metrics_port)
@@ -354,7 +342,6 @@ def main(argv: Optional[Sequence[str]] = None, run_forever: bool = True) -> int:
             trace_sample_rate=args.trace_sample_rate,
             slow_query_ms=args.slow_query_ms,
             server_id=args.server_id,
-            transport=args.transport,
             storage=args.storage,
             data_dir=args.data_dir,
             metrics_port=args.metrics_port,

@@ -27,8 +27,8 @@ from typing import Dict, List, Optional, Sequence
 
 from ..ldap.client import LdapClient, LdapError
 from ..ldap.dit import Scope
-from ..net.tcp import TcpEndpoint
-from ..net.transport import ConnectionClosed
+from ..net.reactor import ReactorEndpoint
+from ..net.transport import ConnectionClosed, Endpoint
 
 __all__ = ["main", "poll_server", "poll_fleet"]
 
@@ -106,9 +106,10 @@ def _row(server: str, attrs: Dict[str, object]) -> Dict[str, object]:
     }
 
 
-def _poll_ldap(host: str, port: int, timeout: float) -> Dict[str, object]:
+def _poll_ldap(
+    endpoint: Endpoint, host: str, port: int, timeout: float
+) -> Dict[str, object]:
     spec = f"{host}:{port}"
-    endpoint = TcpEndpoint()
     try:
         client = LdapClient(endpoint.connect((host, port)))
         try:
@@ -132,8 +133,6 @@ def _poll_ldap(host: str, port: int, timeout: float) -> Dict[str, object]:
         return _row(spec, attrs)
     except (ConnectionClosed, LdapError, OSError) as exc:
         return {"server": spec, "error": str(exc) or type(exc).__name__}
-    finally:
-        endpoint.close()
 
 
 def _poll_http(url: str, timeout: float) -> Dict[str, object]:
@@ -157,20 +156,22 @@ def _poll_http(url: str, timeout: float) -> Dict[str, object]:
     return _row(url, payload.get("attrs") or {})
 
 
-def poll_server(spec: str, timeout: float = 5.0) -> Dict[str, object]:
-    """Poll one ``host:port`` or ``http://...`` server spec."""
+def poll_server(
+    endpoint: Endpoint, spec: str, timeout: float = 5.0
+) -> Dict[str, object]:
+    """Poll one ``host:port`` (dialed through *endpoint*) or ``http://...`` spec."""
     if spec.startswith("http://") or spec.startswith("https://"):
         return _poll_http(spec, timeout)
     host, _, port = spec.rpartition(":")
     if not host or not port.isdigit():
         return {"server": spec, "error": "expected host:port or http://..."}
-    return _poll_ldap(host, int(port), timeout)
+    return _poll_ldap(endpoint, host, int(port), timeout)
 
 
 def poll_fleet(
-    specs: Sequence[str], timeout: float = 5.0
+    endpoint: Endpoint, specs: Sequence[str], timeout: float = 5.0
 ) -> List[Dict[str, object]]:
-    return [poll_server(spec, timeout) for spec in specs]
+    return [poll_server(endpoint, spec, timeout) for spec in specs]
 
 
 def _fmt(value: Optional[float], digits: int = 1) -> str:
@@ -219,26 +220,28 @@ def _exit_code(rows: List[Dict[str, object]]) -> int:
 def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     out = out or sys.stdout
     args = build_parser().parse_args(argv)
-
-    if args.once:
-        rows = poll_fleet(args.servers, timeout=args.timeout)
-        report = {
-            "servers": rows,
-            "fleet": {
-                "size": len(rows),
-                "reachable": sum(1 for r in rows if not r.get("error")),
-                "healthy": sum(
-                    1 for r in rows if r.get("health") == "healthy"
-                ),
-            },
-        }
-        out.write(json.dumps(report, sort_keys=True) + "\n")
-        return _exit_code(rows)
-
-    refreshes = 0
+    # One endpoint (one loop thread) for the life of the process, not
+    # one per server per refresh.
+    endpoint = ReactorEndpoint()
     try:
+        if args.once:
+            rows = poll_fleet(endpoint, args.servers, timeout=args.timeout)
+            report = {
+                "servers": rows,
+                "fleet": {
+                    "size": len(rows),
+                    "reachable": sum(1 for r in rows if not r.get("error")),
+                    "healthy": sum(
+                        1 for r in rows if r.get("health") == "healthy"
+                    ),
+                },
+            }
+            out.write(json.dumps(report, sort_keys=True) + "\n")
+            return _exit_code(rows)
+
+        refreshes = 0
         while True:
-            rows = poll_fleet(args.servers, timeout=args.timeout)
+            rows = poll_fleet(endpoint, args.servers, timeout=args.timeout)
             healthy = sum(1 for r in rows if r.get("health") == "healthy")
             if out is sys.stdout and out.isatty():
                 out.write("\x1b[2J\x1b[H")  # clear + home
@@ -254,6 +257,8 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
             time.sleep(args.interval)
     except KeyboardInterrupt:
         return 0
+    finally:
+        endpoint.close()
 
 
 if __name__ == "__main__":

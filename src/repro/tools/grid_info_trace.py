@@ -91,11 +91,12 @@ def _load_file(path: str, records: List[dict]) -> Optional[str]:
     return None
 
 
-def _load_server(address: str, timeout: float, records: List[dict]) -> Optional[str]:
+def _load_server(
+    endpoint, address: str, timeout: float, records: List[dict]
+) -> Optional[str]:
     """Query one server's cn=slow subtree for span records."""
     from ..ldap.client import LdapClient, LdapError
     from ..ldap.dit import Scope
-    from ..net.tcp import TcpEndpoint
     from ..net.transport import ConnectionClosed
 
     host, _, port = address.partition(":")
@@ -105,7 +106,6 @@ def _load_server(address: str, timeout: float, records: List[dict]) -> Optional[
         port_num = int(port)
     except ValueError:
         return f"bad server address {address!r} (want HOST:PORT)"
-    endpoint = TcpEndpoint()
     try:
         conn = endpoint.connect((host, port_num))
     except ConnectionClosed as exc:
@@ -123,7 +123,6 @@ def _load_server(address: str, timeout: float, records: List[dict]) -> Optional[
         return f"{address}: {exc}"
     finally:
         client.unbind()
-        endpoint.close()
     if not result.result.ok:
         return f"{address}: {result.result.describe()}"
     for entry in result.entries:
@@ -253,11 +252,18 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
         if error is not None:
             print(f"grid-info-trace: {error}", file=sys.stderr)
             return 2
-    for address in args.server:
-        error = _load_server(address, args.timeout, records)
-        if error is not None:
-            print(f"grid-info-trace: {error}", file=sys.stderr)
-            return 2
+    if args.server:
+        from ..net.reactor import ReactorEndpoint
+
+        endpoint = ReactorEndpoint()
+        try:
+            for address in args.server:
+                error = _load_server(endpoint, address, args.timeout, records)
+                if error is not None:
+                    print(f"grid-info-trace: {error}", file=sys.stderr)
+                    return 2
+        finally:
+            endpoint.close()
     rendered = render_traces(records, out, args.trace_id, args.limit)
     if rendered == 0:
         print("grid-info-trace: no matching traces", file=sys.stderr)

@@ -9,8 +9,6 @@ lock, so they don't rely on sleeps or thread timing.
 
 import threading
 
-import pytest
-
 from repro.ldap.client import LdapClient
 from repro.ldap.protocol import (
     LdapMessage,
@@ -20,7 +18,7 @@ from repro.ldap.protocol import (
     SearchResultDone,
     encode_message,
 )
-from repro.net import make_endpoint
+from repro.net import ReactorEndpoint
 from repro.net.clock import Clock, TimerHandle
 from repro.obs.metrics import MetricsRegistry
 
@@ -231,10 +229,9 @@ class TestSubscriptionHandleConcludes:
         assert len(conn.sent) == frames_before + 1  # the Abandon
 
 
-@pytest.mark.parametrize("transport", ["threads", "reactor"])
 class TestUdpCloseVsSend:
-    def test_send_after_close_is_noop(self, transport):
-        ep = make_endpoint(transport)
+    def test_send_after_close_is_noop(self):
+        ep = ReactorEndpoint()
         ep.send_datagram(("127.0.0.1", 9), b"x")  # lazily creates socket
         assert ep._udp_send is not None
         ep.close()
@@ -243,8 +240,8 @@ class TestUdpCloseVsSend:
         ep.send_datagram(("127.0.0.1", 9), b"y")
         assert ep._udp_send is None
 
-    def test_concurrent_senders_racing_close(self, transport):
-        ep = make_endpoint(transport)
+    def test_concurrent_senders_racing_close(self):
+        ep = ReactorEndpoint()
         errors = []
         stop = threading.Event()
 
@@ -267,11 +264,10 @@ class TestUdpCloseVsSend:
         assert ep._udp_send is None
 
 
-@pytest.mark.parametrize("transport", ["threads", "reactor"])
 class TestAcceptLoopRobustness:
-    def test_handler_error_does_not_kill_listener(self, transport):
+    def test_handler_error_does_not_kill_listener(self):
         metrics = MetricsRegistry()
-        ep = make_endpoint(transport, metrics=metrics)
+        ep = ReactorEndpoint(metrics=metrics)
         accepted = []
 
         def handler(conn):

@@ -2,6 +2,7 @@
 
 import io
 import json
+import threading
 import time
 
 import pytest
@@ -18,6 +19,7 @@ from repro.ldap.protocol import SearchRequest
 from repro.net.sim import Simulator
 from repro.tools.grid_info_search import main as search_main
 from repro.tools.grid_info_server import main as server_main, start_server
+from repro.tools.grid_info_top import main as top_main
 
 CTX = RequestContext()
 
@@ -147,14 +149,10 @@ class TestConfig:
 
 
 class TestCliTools:
-    # The reactor is the default transport; the threaded one must stay
-    # wired through the same flag.
-    @pytest.fixture(params=["reactor", "threads"])
-    def running_server(self, request, tmp_path):
+    @pytest.fixture
+    def running_server(self, tmp_path):
         path = write_config(tmp_path)
-        endpoint, port, registrants, server = start_server(
-            str(path), port=0, transport=request.param
-        )
+        endpoint, port, registrants, server = start_server(str(path), port=0)
         yield port
         endpoint.close()
 
@@ -208,6 +206,38 @@ class TestCliTools:
         rc = search_main(["-p", "1", "-b", ""])
         assert rc == 2
 
+    def test_top_cli_runs_on_one_endpoint(self, tmp_path):
+        """One loop thread for the whole run — not one per server per
+        refresh — and none left behind."""
+        path = write_config(tmp_path)
+        servers = [
+            start_server(str(path), port=0, monitor=True) for _ in range(3)
+        ]
+        try:
+            before = set(threading.enumerate())
+            loops = set()
+
+            class Out(io.StringIO):
+                def flush(self):  # called once per refresh
+                    loops.update(
+                        t
+                        for t in set(threading.enumerate()) - before
+                        if t.name == "reactor"
+                    )
+
+            out = Out()
+            specs = [f"127.0.0.1:{port}" for _, port, _, _ in servers]
+            rc = top_main(["--count", "3", "--interval", "0.01"] + specs, out=out)
+            assert rc in (0, 1)  # every server reachable, whatever its health
+            assert out.getvalue().count("3 server(s)") == 3
+            assert len(loops) == 1
+            assert not any(t.is_alive() for t in loops)
+        finally:
+            for endpoint, _, _, server in servers:
+                server.recorder.stop()
+                endpoint.close()
+                server.executor.shutdown()
+
     def test_server_cli_bad_config(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{}")
@@ -225,10 +255,10 @@ class TestCliTools:
         from repro.giis.core import GiisBackend
         from repro.ldap.server import LdapServer
         from repro.net.clock import WallClock
-        from repro.net.tcp import TcpEndpoint
+        from repro.net.reactor import ReactorEndpoint
 
         clock = WallClock()
-        giis_endpoint = TcpEndpoint()
+        giis_endpoint = ReactorEndpoint()
         giis = GiisBackend(
             "o=Demo",
             clock=clock,
@@ -282,7 +312,7 @@ class TestCliGsiAuth:
         from repro.ldap.dit import DIT
         from repro.ldap.entry import Entry
         from repro.ldap.server import LdapServer
-        from repro.net.tcp import TcpEndpoint
+        from repro.net.reactor import ReactorEndpoint
         from repro.security import (
             CertificateAuthority,
             GsiAuthenticator,
@@ -298,7 +328,7 @@ class TestCliGsiAuth:
         cred_file = tmp_path / "alice.cred"
         cred_file.write_text(credential_to_json(alice))
 
-        endpoint = TcpEndpoint()
+        endpoint = ReactorEndpoint()
         dit = DIT()
         dit.add(Entry("o=Sec", objectclass="organization", o="Sec"))
         server_holder = {}

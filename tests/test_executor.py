@@ -29,7 +29,7 @@ from repro.ldap.protocol import (
 from repro.ldap.server import LdapServer
 from repro.net.sim import Simulator
 from repro.net.simnet import SimNetwork
-from repro.net.tcp import TcpEndpoint
+from repro.net.reactor import ReactorEndpoint
 from repro.obs.metrics import MetricsRegistry
 from repro.testbed.vo import GridTestbed
 
@@ -414,7 +414,7 @@ class TestBackpressureOverTcp:
             workers=1, queue_limit=1, metrics=metrics, name="tcp"
         )
         server = LdapServer(Gated(), metrics=metrics, executor=executor)
-        endpoint = TcpEndpoint(metrics=metrics)
+        endpoint = ReactorEndpoint(metrics=metrics)
         try:
             port = endpoint.listen(0, server.handle_connection)
             client = LdapClient(endpoint.connect(("127.0.0.1", port)))
@@ -457,8 +457,8 @@ class TestBackpressureOverTcp:
 
         metrics = MetricsRegistry()
         server = LdapServer(Hang(), metrics=metrics)
-        server_ep = TcpEndpoint(metrics=metrics)
-        client_ep = TcpEndpoint()
+        server_ep = ReactorEndpoint(metrics=metrics)
+        client_ep = ReactorEndpoint()
         try:
             port = server_ep.listen(0, server.handle_connection)
             client = LdapClient(client_ep.connect(("127.0.0.1", port)))

@@ -53,7 +53,6 @@ from repro.ldap.protocol import (
     encode_search_entry,
 )
 from repro.ldap.server import LdapServer
-from repro.net import TRANSPORTS, make_endpoint
 from repro.security.acl import (
     ANONYMOUS,
     AccessPolicy,
@@ -61,6 +60,8 @@ from repro.security.acl import (
     attribute_restricted_policy,
     open_policy,
 )
+
+from .wire import WIRES, open_wire
 
 # ---------------------------------------------------------------------------
 # Reference decoder: the pre-zero-copy slice-based TLV walk, verbatim.
@@ -468,12 +469,10 @@ def _serve_and_capture(transport, policy=None):
                 load5=str(i / 10),
             )
         )
-    server = LdapServer(DitBackend(dit), policy=policy)
-    endpoint = make_endpoint(transport)
-    try:
-        port = endpoint.listen(0, server.handle_connection)
-        recorder = _RecordingConn(endpoint.connect(("127.0.0.1", port)))
-        client = LdapClient(recorder)
+    with open_wire(transport) as wire:
+        server = LdapServer(DitBackend(dit), policy=policy, clock=wire.clock)
+        recorder = _RecordingConn(wire.connect(wire.listen(server.handle_connection)))
+        client = LdapClient(recorder, driver=wire.driver)
         # mixed workload: cacheable, filtered, projected, types-only,
         # size-limited — and repeated so the second pass hits the cache
         for _ in range(2):
@@ -489,11 +488,9 @@ def _serve_and_capture(transport, policy=None):
         client.unbind()
         hits = server.metrics.counter("ldap.encode.cache.hits").value
         return recorder.frames, hits
-    finally:
-        endpoint.close()
 
 
-@pytest.mark.parametrize("transport", TRANSPORTS)
+@pytest.mark.parametrize("transport", WIRES)
 def test_wire_bytes_identical_with_and_without_fast_lanes(transport):
     cached, fast_hits = _serve_and_capture(transport)
     uncached, slow_hits = _serve_and_capture(transport, allow_all_scoped_policy())
@@ -503,8 +500,8 @@ def test_wire_bytes_identical_with_and_without_fast_lanes(transport):
 
 
 def test_wire_bytes_identical_across_transports():
-    frames = [_serve_and_capture(t)[0] for t in TRANSPORTS]
-    assert frames[0] == frames[1]
+    reactor, simnet = (_serve_and_capture(kind)[0] for kind in WIRES)
+    assert reactor == simnet
 
 
 # ---------------------------------------------------------------------------

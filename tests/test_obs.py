@@ -5,8 +5,8 @@ Covers the metrics registry, trace spans, the GRIP-queryable
 
 * an expired-but-unswept registration refreshed in place (no
   on_expire/on_register for the death-and-rebirth);
-* ``TcpConnection.set_receiver`` draining its backlog outside the lock
-  while the reader delivers newer frames (out-of-order delivery);
+* ``ReactorConnection.set_receiver`` draining its backlog outside the
+  lock while the loop delivers newer frames (out-of-order delivery);
 * ``GiisBackend._client_for`` leaking the dialed connection when the
   GSI bind fails;
 
@@ -37,7 +37,7 @@ from repro.ldap.protocol import Control, ResultCode, SearchRequest
 from repro.ldap.server import LdapServer
 from repro.net.clock import WallClock
 from repro.net.sim import Simulator
-from repro.net.tcp import TcpEndpoint
+from repro.net.reactor import ReactorEndpoint
 from repro.net.transport import ConnectionClosed
 from repro.obs import (
     MetricsRegistry,
@@ -283,7 +283,7 @@ class TestMonitorOverGrip:
             gris, MonitorBackend(metrics, server_name="gris-1")
         )
         server = LdapServer(backend, clock=clock, metrics=metrics, name="gris-1")
-        endpoint = TcpEndpoint(metrics=metrics)
+        endpoint = ReactorEndpoint(metrics=metrics)
         port = endpoint.listen(0, server.handle_connection)
         client = LdapClient(endpoint.connect(("127.0.0.1", port)))
         try:
@@ -421,12 +421,12 @@ class TestExpiredRefreshRebirth:
 
 
 # ---------------------------------------------------------------------------
-# regression: backlog drain must serialize with the reader thread
+# regression: backlog drain must serialize with the loop thread
 
 
 class TestReceiverSwapOrdering:
     def test_backlog_and_live_frames_stay_ordered(self):
-        endpoint = TcpEndpoint()
+        endpoint = ReactorEndpoint()
         try:
             total = 300
             server_conns = []
@@ -448,7 +448,7 @@ class TestReceiverSwapOrdering:
 
             def slow_receiver(raw):
                 if len(got) < 80:
-                    # widen the race window: the reader thread is
+                    # widen the race window: the loop thread is
                     # delivering newer frames while we drain the backlog
                     time.sleep(0.0005)
                 got.append(int.from_bytes(raw, "big"))
@@ -462,7 +462,7 @@ class TestReceiverSwapOrdering:
             endpoint.close()
 
     def test_swap_receiver_mid_stream(self):
-        endpoint = TcpEndpoint()
+        endpoint = ReactorEndpoint()
         try:
             server_conns = []
             port = endpoint.listen(0, server_conns.append)

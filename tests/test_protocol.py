@@ -1,5 +1,7 @@
 """Round-trip and error tests for the LDAP wire protocol codec."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -186,7 +188,46 @@ class TestFilterCodec:
             decode_filter(TlvReader(blob))
 
 
+# Well-framed SearchRequests with one flipped byte each: invalid UTF-8
+# in the base DN, and scope ENUMERATED -86.
+BAD_UTF8 = bytes.fromhex(
+    "3032020107632d04066f134772dd640a01020a0100023200660100010100"
+    "a012a306040161040162a40804016330038001643000"
+)
+BAD_ENUM = bytes.fromhex(
+    "3032020107632d04066f3d477269640a01aa0a0100020100020100010100"
+    "a012a3066d0161040162a40804016330038001643000"
+)
+
+
 class TestErrors:
+    @pytest.mark.parametrize("data", [BAD_UTF8, BAD_ENUM], ids=["utf8", "enum"])
+    def test_bad_value_inside_good_framing(self, data):
+        with pytest.raises(ProtocolError):
+            decode_message(data)
+
+    def test_mutated_search_request_raises_only_protocol_error(self):
+        """Seeded corpus: 1-4 bytes changed, 30% also truncated."""
+        good = encode_message(
+            LdapMessage(
+                7,
+                SearchRequest(
+                    base="o=Grid", filter=parse_filter("(&(a=b)(c=d*))")
+                ),
+            )
+        )
+        rng = random.Random(7)
+        for _ in range(5000):
+            data = bytearray(good)
+            for _ in range(rng.randint(1, 4)):
+                data[rng.randrange(len(data))] = rng.randrange(256)
+            if rng.random() < 0.3:
+                del data[rng.randrange(1, len(data)):]
+            try:
+                decode_message(bytes(data))
+            except ProtocolError:
+                pass
+
     def test_trailing_garbage(self):
         data = encode_message(LdapMessage(1, UnbindRequest())) + b"\x00"
         with pytest.raises(ProtocolError, match="trailing"):

@@ -56,6 +56,50 @@ class TestOneSearchPath:
             assert switch not in inspect.signature(cls.__init__).parameters
 
 
+class TestOneWireTransport:
+    """The reactor is the only socket path: nothing selects a transport."""
+
+    GONE = {"TcpEndpoint", "TcpConnection", "TRANSPORTS"}
+
+    def test_nothing_imports_the_thread_transport(self):
+        import ast
+
+        root = pathlib.Path(__file__).parents[1]
+        offenders = []
+        for top in ("src", "examples", "tests", "benchmarks"):
+            for path in sorted((root / top).rglob("*.py")):
+                for node in ast.walk(ast.parse(path.read_text())):
+                    if isinstance(node, ast.Import):
+                        bad = any(a.name == "repro.net.tcp" for a in node.names)
+                    elif isinstance(node, ast.ImportFrom):
+                        last = (node.module or "").rpartition(".")[2]
+                        names = {a.name for a in node.names}
+                        bad = (
+                            last == "tcp"
+                            or (last in ("net", "") and "tcp" in names)
+                            or bool(names & self.GONE)
+                        )
+                    else:
+                        continue
+                    if bad:
+                        offenders.append(f"{path.relative_to(root)}:{node.lineno}")
+        assert not offenders
+
+    def test_server_has_no_transport_flag(self):
+        from repro.tools.grid_info_server import build_parser
+
+        assert "--transport" not in build_parser().format_help()
+
+    def test_make_endpoint_accepts_only_reactor(self):
+        from repro.net import ReactorEndpoint, make_endpoint
+
+        endpoint = make_endpoint("reactor")
+        endpoint.close()
+        assert type(endpoint) is ReactorEndpoint
+        with pytest.raises(ValueError):
+            make_endpoint("threads")
+
+
 class TestGiisSearchBuildsNothing:
     """Per-message work stays per message: a GIIS search neither builds a
     registration entry nor parses a URL, however many providers are in."""

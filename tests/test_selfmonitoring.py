@@ -10,9 +10,10 @@ Covers the observability tentpole end to end:
   and ``cn=monitor`` rendering from a single pass;
 * :class:`HealthModel` — threshold verdicts and the Mds-Server-* map;
 * the self-provider — health entries appearing in a chained GIIS
-  search over real sockets, on both wire transports.
+  search over real sockets and on the simulator.
 """
 
+import contextlib
 import pathlib
 import re
 import threading
@@ -26,7 +27,7 @@ from repro.gris.core import GrisBackend
 from repro.ldap.client import LdapClient
 from repro.ldap.dit import Scope
 from repro.ldap.server import LdapServer
-from repro.net import TRANSPORTS, make_endpoint
+from repro.net import Reactor
 from repro.net.clock import WallClock
 from repro.net.sim import Simulator
 from repro.obs import (
@@ -39,6 +40,8 @@ from repro.obs import (
     parse_exposition,
     render_exposition,
 )
+
+from .wire import WIRES, open_wire
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "exposition.golden"
 
@@ -127,7 +130,8 @@ class TestExposition:
 
     def test_http_server_serves_consistent_page(self):
         m = golden_registry()
-        server = MetricsHttpServer(m)
+        reactor = Reactor()
+        server = MetricsHttpServer(m, reactor)
         try:
             port = server.start(0)
             import urllib.request
@@ -140,6 +144,7 @@ class TestExposition:
             assert parse_exposition(body)["ldap_requests"]["type"] == "counter"
         finally:
             server.close()
+            reactor.stop()
 
 
 class TestTimeSeries:
@@ -322,73 +327,52 @@ class TestHealthModel:
         assert "mdsserver" in entry.get("objectclass")
 
 
-class _WireFleet:
-    """One self-monitoring GRIS chained behind a self-monitoring GIIS."""
+@contextlib.contextmanager
+def _wire_fleet(wire):
+    """One self-monitoring GRIS chained behind a self-monitoring GIIS;
+    yields the GIIS's address."""
+    clock = wire.clock
+    gris_metrics = MetricsRegistry()
+    gris = GrisBackend("o=Grid", clock, metrics=gris_metrics)
+    gris.enable_self_monitor(
+        HealthModel(gris_metrics, clock, server_id="gris-1")
+    )
+    gris_host, gris_port = wire.listen(
+        LdapServer(gris, clock=clock).handle_connection
+    )
 
-    def __init__(self, transport: str):
-        self.clock = WallClock()
-        self.closers = []
-
-        gris_metrics = MetricsRegistry()
-        gris = GrisBackend("o=Grid", self.clock, metrics=gris_metrics)
-        gris_health = HealthModel(
-            gris_metrics, self.clock, server_id="gris-1"
-        )
-        gris.enable_self_monitor(gris_health)
-        gris_endpoint = make_endpoint(transport)
-        self.closers.append(gris_endpoint.close)
-        gris_server = LdapServer(gris, clock=self.clock)
-        gris_port = gris_endpoint.listen(0, gris_server.handle_connection)
-
-        giis_metrics = MetricsRegistry()
-        chain = make_endpoint(transport)
-        self.closers.append(chain.close)
-        giis = GiisBackend(
-            "o=Grid",
-            clock=self.clock,
-            connector=lambda url: chain.connect((url.host, url.port)),
-            metrics=giis_metrics,
-        )
-        self.closers.append(giis.shutdown)
-        now = self.clock.now()
+    giis_metrics = MetricsRegistry()
+    giis = GiisBackend(
+        "o=Grid",
+        clock=clock,
+        connector=lambda url: wire.connect((url.host, url.port)),
+        metrics=giis_metrics,
+    )
+    try:
+        now = clock.now()
         giis.apply_grrp(
             GrrpMessage(
-                service_url=f"ldap://127.0.0.1:{gris_port}/",
+                service_url=f"ldap://{gris_host}:{gris_port}/",
                 timestamp=now,
                 valid_until=now + 3600.0,
                 metadata={"suffix": "o=Grid"},
             )
         )
-        giis_health = HealthModel(
-            giis_metrics, self.clock, server_id="giis-1"
+        giis.enable_self_monitor(
+            HealthModel(giis_metrics, clock, server_id="giis-1")
         )
-        giis.enable_self_monitor(giis_health)
-        front = make_endpoint(transport)
-        self.closers.append(front.close)
-        giis_server = LdapServer(giis, clock=self.clock)
-        self.giis_port = front.listen(0, giis_server.handle_connection)
-        self.client_endpoint = make_endpoint(transport)
-        self.closers.append(self.client_endpoint.close)
-
-    def connect(self):
-        return self.client_endpoint.connect(("127.0.0.1", self.giis_port))
-
-    def close(self):
-        for close in reversed(self.closers):
-            try:
-                close()
-            except Exception:  # noqa: BLE001 - teardown best-effort
-                pass
+        yield wire.listen(LdapServer(giis, clock=clock).handle_connection)
+    finally:
+        giis.shutdown()
 
 
-@pytest.mark.parametrize("transport", sorted(TRANSPORTS))
+@pytest.mark.parametrize("transport", WIRES)
 def test_self_provider_visible_through_chained_giis(transport):
     """Fleet health aggregates through ordinary GRIP chaining: one
     subtree search at the GIIS returns the GIIS's own health entry AND
-    the chained GRIS's, on either wire transport."""
-    fleet = _WireFleet(transport)
-    try:
-        client = LdapClient(fleet.connect())
+    the chained GRIS's, over real sockets and on the simulator."""
+    with open_wire(transport) as wire, _wire_fleet(wire) as giis_address:
+        client = LdapClient(wire.connect(giis_address), driver=wire.driver)
         try:
             result = client.search(
                 "o=Grid",
@@ -408,8 +392,6 @@ def test_self_provider_visible_through_chained_giis(transport):
             )
             assert float(entry.first("Mds-Server-Uptime-Seconds")) >= 0.0
             assert entry.first("Mds-Server-Ready") in ("TRUE", "FALSE")
-    finally:
-        fleet.close()
 
 
 def test_recorder_on_wall_clock_smoke():

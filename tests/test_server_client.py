@@ -12,7 +12,7 @@ from repro.ldap.protocol import ModifyRequest, ResultCode, SearchRequest
 from repro.ldap.server import LdapServer
 from repro.net.sim import Simulator
 from repro.net.simnet import SimNetwork
-from repro.net import make_endpoint
+from repro.net import ReactorEndpoint
 from repro.security import (
     ANONYMOUS,
     CertificateAuthority,
@@ -284,11 +284,11 @@ class TestSecurityIntegration:
 
 
 class TestOverTcp:
-    """The same stack over real sockets, on both wire transports."""
+    """The same stack over real sockets."""
 
-    @pytest.fixture(params=["threads", "reactor"])
-    def tcp(self, request):
-        endpoint = make_endpoint(request.param)
+    @pytest.fixture
+    def tcp(self):
+        endpoint = ReactorEndpoint()
         backend = DitBackend(seed_dit())
         server = LdapServer(backend)
         port = endpoint.listen(0, server.handle_connection)

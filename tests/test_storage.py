@@ -491,9 +491,8 @@ class TestGiisWarmRestart:
         giis.shutdown()
 
 
-@pytest.mark.parametrize("transport", ["reactor", "threads"])
 class TestServerWarmRestartOverTcp:
-    def test_giis_mode_serves_prior_registrations(self, tmp_path, transport):
+    def test_giis_mode_serves_prior_registrations(self, tmp_path):
         """start_server in GIIS mode twice over one --data-dir: the second
         instance answers with the registrations accepted by the first."""
         from repro.ldap.client import LdapClient
@@ -512,9 +511,7 @@ class TestServerWarmRestartOverTcp:
         data_dir = str(tmp_path / "data")
 
         def boot():
-            return start_server(
-                str(config), port=0, transport=transport, data_dir=data_dir
-            )
+            return start_server(str(config), port=0, data_dir=data_dir)
 
         endpoint, port, _, server = boot()
         try:
@@ -550,7 +547,7 @@ class TestSigkillAcceptance:
         a grid-info-server in GIIS mode and restart it over the same
         --data-dir; it must serve the same registrations."""
         from repro.ldap.client import LdapClient
-        from repro.net.tcp import TcpEndpoint
+        from repro.net.reactor import ReactorEndpoint
 
         config = tmp_path / "giis.json"
         config.write_text(
@@ -598,7 +595,7 @@ class TestSigkillAcceptance:
             proc.kill()
             raise AssertionError("server did not report a listen port")
 
-        endpoint = TcpEndpoint()
+        endpoint = ReactorEndpoint()
         proc, port = launch()
         try:
             client = LdapClient(endpoint.connect(("127.0.0.1", port)))

@@ -18,6 +18,7 @@ Covers the PR-10 path end to end:
 * the client request-encode cache — identical bytes, counted hits.
 """
 
+import contextlib
 import threading
 
 import pytest
@@ -43,22 +44,22 @@ from repro.ldap.protocol import (
     RawEntry,
     ResultCode,
     SearchRequest,
+    SearchResultDone,
     SearchResultEntry,
+    decode_message,
     encode_message,
     encode_message_with_op,
     request_encode_stats,
     reset_request_encode_cache,
 )
 from repro.ldap.server import LdapServer
-from repro.net import make_endpoint
-from repro.net.clock import WallClock
 from repro.testbed import GridTestbed
 
 from .test_fastpath import allow_all_scoped_policy
 from .test_filter import HOST, _filters
+from .wire import WIRES, open_wire
 
 CTX = RequestContext(identity="CN=tester")
-TRANSPORTS = ["threads", "reactor"]
 
 
 def _entry_op_bytes(entry: Entry) -> bytes:
@@ -291,7 +292,7 @@ class TestRequestEncodeCache:
 
 
 # ---------------------------------------------------------------------------
-# The chained relay: byte-identical relayed and decoded, both transports
+# The chained relay: byte-identical relayed and decoded, reactor and simnet
 # ---------------------------------------------------------------------------
 
 
@@ -330,55 +331,63 @@ def _child_dit(first_host: int, n_hosts: int) -> DIT:
     return dit
 
 
-def _chained_capture(transport: str, policy=None):
-    """One GIIS over two disjoint GRIS children on a real transport;
-    returns every frame the client received for a fixed workload.
+def _gris_handler(g: int, clock):
+    """Connection handler of GRIS child *g* (three hosts of its own)."""
+    return LdapServer(
+        DitBackend(_child_dit(first_host=g * 3, n_hosts=3)),
+        clock=clock,
+        name=f"gris{g}",
+    ).handle_connection
+
+
+@contextlib.contextmanager
+def _chained(wire, child_handlers, policy=None):
+    """One GIIS over one listener per child handler, all on *wire*;
+    yields (client, the recording connection under it, the GIIS).
     *policy* is the GIIS front end's (default: open, so it relays)."""
-    clock = WallClock()
-    endpoint = make_endpoint(transport)
-    closers = [endpoint.close]
+    clock = wire.clock
+    giis = GiisBackend(
+        "o=Grid",
+        clock=clock,
+        connector=lambda url: wire.connect((url.host, url.port)),
+        child_timeout=30.0,
+    )
     try:
-        gris_ports = []
-        for g in range(2):
-            server = LdapServer(
-                DitBackend(_child_dit(first_host=g * 3, n_hosts=3)),
-                clock=clock,
-                name=f"gris{g}",
-            )
-            gris_ports.append(endpoint.listen(0, server.handle_connection))
-        giis = GiisBackend(
-            "o=Grid",
-            clock=clock,
-            connector=lambda url: endpoint.connect((url.host, url.port)),
-            child_timeout=30.0,
-        )
-        closers.append(giis.shutdown)
         now = clock.now()
-        for port in gris_ports:
+        for handler in child_handlers:
+            host, port = wire.listen(handler)
             giis.apply_grrp(
                 GrrpMessage(
-                    service_url=f"ldap://127.0.0.1:{port}/",
+                    service_url=f"ldap://{host}:{port}/",
                     timestamp=now,
                     valid_until=now + 3600.0,
                     metadata={"suffix": "o=Grid"},
                 )
             )
         front = LdapServer(giis, policy=policy, clock=clock, name="giis")
-        giis_port = endpoint.listen(0, front.handle_connection)
-        recorder = _RecordingConn(endpoint.connect(("127.0.0.1", giis_port)))
-        client = LdapClient(recorder)
-        client.search("o=Grid", filter="(objectclass=computer)")
-        client.search("o=Grid", filter="(hn=host4)")
-        client.search("o=Grid", filter="(load5>=0.2)")
-        client.unbind()
-        with recorder.lock:
-            return list(recorder.frames), giis.metrics
+        recorder = _RecordingConn(
+            wire.connect(wire.listen(front.handle_connection))
+        )
+        yield LdapClient(recorder, driver=wire.driver), recorder, giis
     finally:
-        for close in reversed(closers):
-            close()
+        giis.shutdown()
 
 
-@pytest.mark.parametrize("transport", TRANSPORTS)
+def _chained_capture(transport: str, policy=None):
+    """Two disjoint GRIS children behind the GIIS; returns every frame
+    the client received for a fixed workload."""
+    with open_wire(transport) as wire:
+        children = [_gris_handler(g, wire.clock) for g in range(2)]
+        with _chained(wire, children, policy) as (client, recorder, giis):
+            client.search("o=Grid", filter="(objectclass=computer)")
+            client.search("o=Grid", filter="(hn=host4)")
+            client.search("o=Grid", filter="(load5>=0.2)")
+            client.unbind()
+            with recorder.lock:
+                return list(recorder.frames), giis.metrics
+
+
+@pytest.mark.parametrize("transport", WIRES)
 def test_relay_wire_bytes_identical_on_and_off(transport):
     """The acceptance criterion: relayed results are byte-identical to
     the decode-and-re-encode path, which a front end whose policy is
@@ -393,8 +402,41 @@ def test_relay_wire_bytes_identical_on_and_off(transport):
 
 
 def test_relay_wire_bytes_identical_across_transports():
-    frames = [_chained_capture(t)[0] for t in TRANSPORTS]
-    assert sorted(frames[0]) == sorted(frames[1])
+    reactor, simnet = (_chained_capture(kind)[0] for kind in WIRES)
+    assert sorted(reactor) == sorted(simnet)
+
+
+@pytest.mark.parametrize("transport", WIRES)
+def test_child_answering_a_malformed_done_is_failed_at_once(transport):
+    """Well framed, undecodable: the child is concluded as failed when
+    its answer arrives, not when its 30 s deadline does, and the other
+    child's entries are still returned."""
+
+    def garbler(conn):
+        def answer(raw):
+            done = encode_message(
+                LdapMessage(
+                    decode_message(raw).message_id,
+                    SearchResultDone(LdapResult(message="ok")),
+                )
+            )
+            conn.send(done.replace(b"ok", b"\xff\xfe"))  # not UTF-8
+
+        conn.set_receiver(answer)
+
+    with open_wire(transport) as wire:
+        children = [_gris_handler(0, wire.clock), garbler]
+        with _chained(wire, children) as (client, _, giis):
+            started = wire.clock.now()
+            out = client.search(
+                "o=Grid", filter="(objectclass=computer)", timeout=20.0, check=False
+            )
+            elapsed = wire.clock.now() - started
+            client.unbind()
+    assert sorted(e.first("hn") for e in out.entries) == ["host0", "host1", "host2"]
+    assert elapsed < 5.0
+    assert giis.metrics.counter("giis.child.errors").value == 1
+    assert giis.metrics.counter("giis.child.timeouts").value == 0
 
 
 # ---------------------------------------------------------------------------

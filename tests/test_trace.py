@@ -588,7 +588,7 @@ class TestDistributedTraceTcp:
         from repro.ldap.entry import Entry
         from repro.ldap.url import LdapUrl
         from repro.net.clock import WallClock
-        from repro.net.tcp import TcpEndpoint
+        from repro.net.reactor import ReactorEndpoint
 
         clock = WallClock()
         endpoints = []
@@ -615,7 +615,7 @@ class TestDistributedTraceTcp:
                     )
                 )
                 server = LdapServer(backend, clock=clock, tracer=tracer)
-                endpoint = TcpEndpoint()
+                endpoint = ReactorEndpoint()
                 endpoints.append(endpoint)
                 port = endpoint.listen(0, server.handle_connection)
                 gris_urls.append(
@@ -627,7 +627,7 @@ class TestDistributedTraceTcp:
             logs.insert(0, giis_path)
             giis_tracer = Tracer(clock.now, seed=300, server_id="giis")
             giis_tracer.add_sink(JsonlSink(giis_path, server_id="giis"))
-            giis_endpoint = TcpEndpoint()
+            giis_endpoint = ReactorEndpoint()
             endpoints.append(giis_endpoint)
             giis = GiisBackend(
                 "o=Grid",
@@ -731,7 +731,7 @@ class TestServerTracingFlags:
             load_config(self._config(tmp_path, sample_rate=1.5))
 
     def test_server_exports_spans_with_default_server_id(self, tmp_path):
-        from repro.net.tcp import TcpEndpoint
+        from repro.net.reactor import ReactorEndpoint
         from repro.tools.grid_info_server import start_server
 
         trace_log = tmp_path / "spans.jsonl"
@@ -742,7 +742,7 @@ class TestServerTracingFlags:
             trace_log=str(trace_log),
             slow_query_ms=0.0001,
         )
-        client_ep = TcpEndpoint()
+        client_ep = ReactorEndpoint()
         try:
             client = LdapClient(client_ep.connect(("127.0.0.1", port)))
             out = client.search(
@@ -841,7 +841,7 @@ class TestTraceCli:
         assert trace_main([str(path), "--trace-id", "f" * 32]) == 1
 
     def test_queries_cn_monitor_over_tcp(self, tmp_path):
-        from repro.net.tcp import TcpEndpoint
+        from repro.net.reactor import ReactorEndpoint
         from repro.tools.grid_info_server import start_server
 
         config = {
@@ -856,7 +856,7 @@ class TestTraceCli:
             str(path), port=0, monitor=True, slow_query_ms=0.0001,
             server_id="mon-test",
         )
-        client_ep = TcpEndpoint()
+        client_ep = ReactorEndpoint()
         try:
             client = LdapClient(client_ep.connect(("127.0.0.1", port)))
             client.search("hn=h, o=Demo", filter="(objectclass=computer)")
