@@ -3,11 +3,11 @@
 The paper's GIIS relies on soft-state refresh to repopulate a restarted
 directory (§6): every registrant re-announces within its TTL window, so
 a restart leaves a window of minutes during which VO-wide searches see a
-hollow directory.  PR 7's durable engines close that window by replaying
+hollow directory.  The WAL engine closes that window by replaying
 persisted state at boot.  This bench quantifies both sides of the trade:
 
-* **append throughput** — single-op DIT writes through the memory, WAL
-  (per fsync policy) and sqlite engines; durability's steady-state tax;
+* **append throughput** — single-op DIT writes through the memory and
+  WAL (per fsync policy) engines; durability's steady-state tax;
 * **restart path** — snapshot write, snapshot+WAL replay, and a planned
   first search at directory scale (100k entries full, 5k quick), against
   the *cold* alternative: repopulating the same tree entry by entry the
@@ -32,7 +32,7 @@ import time
 from repro.ldap.dit import DIT, Scope
 from repro.ldap.entry import Entry
 from repro.ldap.filter import parse as parse_filter
-from repro.ldap.storage import MemoryEngine, SqliteEngine, WalEngine, make_storage
+from repro.ldap.storage import BACKENDS, MemoryEngine, WalEngine, make_storage
 from repro.testbed.metrics import fmt_table
 
 QUICK = bool(os.environ.get("E20_QUICK"))
@@ -53,8 +53,6 @@ def _entry(n):
 def _engine(kind, root):
     if kind == "memory":
         return MemoryEngine()
-    if kind == "sqlite":
-        return SqliteEngine(root / "store.sqlite")
     fsync = kind.split(":", 1)[1]
     return WalEngine(root / "wal", fsync=fsync, snapshot_every=0)
 
@@ -156,9 +154,9 @@ def restart_run():
 
 
 def test_durable_storage(report):
-    kinds = ["memory", "wal:never", "wal:batch", "sqlite"]
+    kinds = ["memory", "wal:never", "wal:batch"]
     if not QUICK:
-        kinds.insert(3, "wal:always")
+        kinds.append("wal:always")
     append_rows = [append_run(kind) for kind in kinds]
     restart = restart_run()
 
@@ -211,7 +209,7 @@ def test_durable_storage(report):
 
 def test_factory_smoke(tmp_path):
     """make_storage wires the same engines the benches use directly."""
-    for backend in ("memory", "wal", "sqlite"):
+    for backend in BACKENDS:
         engine = make_storage(backend, tmp_path / backend)
         assert engine.backend_name == backend
         engine.close()

@@ -13,7 +13,7 @@ from .hierarchy import (
     LdapGrrpSender,
     make_registrant,
 )
-from .indexes import EntryCacheIndex, NameIndex, PullIndex
+from .indexes import NameIndex, PullIndex
 from .matchmaker import (
     UNDEFINED,
     AdError,
@@ -38,7 +38,6 @@ __all__ = [
     "LdapGrrpSender",
     "make_registrant",
     "NameIndex",
-    "EntryCacheIndex",
     "RegistrationSuffixIndex",
     "PullIndex",
     "UNDEFINED",

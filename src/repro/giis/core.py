@@ -41,7 +41,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import replace
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..grip.messages import GrrpError, GrrpMessage, NotificationType
 from ..grip.registry import Applied, Generation, Registration, SoftStateRegistry
@@ -53,11 +53,10 @@ from ..ldap.backend import (
     SearchHandle,
     SearchOutcome,
     Subscription,
-    _in_scope,
     stream_outcome,
 )
 from ..ldap.attributes import CASE_EXACT
-from ..ldap.dit import Scope
+from ..ldap.dit import Scope, in_scope
 from ..ldap.filter import compile_filter
 from ..ldap.client import LdapClient, SearchResult
 from ..ldap.pool import LdapClientPool
@@ -252,7 +251,6 @@ class GiisBackend(Backend):
         metrics: Optional[MetricsRegistry] = None,
         max_query_cache: int = 256,
         tracer=None,
-        index_attrs: Iterable[str] = (),
         pool_size: int = 2,
         storage: Optional[StorageEngine] = None,
     ):
@@ -310,9 +308,6 @@ class GiisBackend(Backend):
         # of per-query DN math over every active registration.
         self._reg_index = RegistrationSuffixIndex()
         self.indexes: List[GiisIndex] = [self._reg_index]
-        # Default index_attrs for attached indexes that materialize
-        # entries (e.g. EntryCacheIndex) but don't pick their own.
-        self.index_attrs = tuple(index_attrs)
         # (membership, base) -> service URLs in membership order: what
         # the index answered, reachable while that membership stands.
         self._routes: Dict[Tuple[int, DN], Tuple[str, ...]] = {}
@@ -522,11 +517,11 @@ class GiisBackend(Backend):
             # Strictly below the suffix at most one local entry is in scope.
             url = gen.by_dn.get(base)
             heads = heads[1:] if url is None else [gen.by_url[url].entry]
-        out = [e for e in heads if _in_scope(e.dn, base, scope) and match(e)]
+        out = [e for e in heads if in_scope(e.dn, base, scope) and match(e)]
         # Every registration sits one level under the suffix, so the
         # first one's DN decides for the whole tier.
         first = next(iter(gen.by_url.values()), None)
-        if below <= 0 and first is not None and _in_scope(first.entry.dn, base, scope):
+        if below <= 0 and first is not None and in_scope(first.entry.dn, base, scope):
             out.extend(r.entry for r in gen.by_url.values() if match(r.entry))
         return out
 
@@ -849,7 +844,7 @@ class GiisBackend(Backend):
             if not change_types & change:
                 continue
             base = req.base_dn()
-            if not _in_scope(entry.dn, base, req.scope):
+            if not in_scope(entry.dn, base, req.scope):
                 continue
             if change != ChangeType.DELETE and not req.filter.matches(entry):
                 continue

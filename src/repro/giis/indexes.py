@@ -5,35 +5,30 @@
   and supports only name-resolution queries."
 * :class:`PullIndex` — base class for indexes that follow up "each
   registration of a new entity with a GRIP query to determine its
-  properties" (§3's relational directory pattern); subclasses store the
-  pulled entries however they like.
-* :class:`EntryCacheIndex` — a PullIndex that materializes pulled
-  provider snapshots into an indexed :class:`~repro.ldap.dit.DIT`, so
-  cached GIIS-side lookups go through the same posting lists and query
-  planner as every other search.
+  properties" (§3's relational directory pattern).  It owns the pulled
+  entries; a subclass only says how to shape them for its queries.
 
-All of these sit on the one shared index engine
-(:class:`~repro.ldap.index.AttributeIndex`): the DIT keys it by entry
-DN; registrant selection (``core.RegistrationSuffixIndex``) and the
-name index key it by service URL.
+The name index sits on the shared index engine
+(:class:`~repro.ldap.index.AttributeIndex`) keyed by service URL, as
+registrant selection (``core.RegistrationSuffixIndex``) does.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+import threading
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..grip.registry import Registration
 from ..ldap.attributes import CASE_EXACT
 from ..ldap.client import SearchResult
-from ..ldap.dit import DIT, DitError, Scope
-from ..ldap.dn import DN
+from ..ldap.dit import Scope
 from ..ldap.entry import Entry
-from ..ldap.filter import Filter, parse as parse_filter
+from ..ldap.filter import parse as parse_filter
 from ..ldap.index import AttributeIndex
 from ..ldap.protocol import SearchRequest
 from .core import GiisBackend, GiisIndex
 
-__all__ = ["NameIndex", "PullIndex", "EntryCacheIndex"]
+__all__ = ["NameIndex", "PullIndex"]
 
 
 class NameIndex(GiisIndex):
@@ -43,8 +38,8 @@ class NameIndex(GiisIndex):
     queries — the low end of the §3 "power of an index vs. cost of
     maintaining it" tradeoff.  Postings live in the shared
     :class:`AttributeIndex` engine keyed by service URL; when several
-    URLs register the same name the most recent registration wins,
-    matching the historical dict-overwrite semantics.
+    URLs register the same name the most recent registration
+    (``Registration.seq``: kept across refreshes, new on rebirth) wins.
     """
 
     NAME_ATTR = "regname"
@@ -53,9 +48,7 @@ class NameIndex(GiisIndex):
         self._index = AttributeIndex(
             (self.NAME_ATTR,), rules={self.NAME_ATTR: CASE_EXACT}
         )
-        self._raw: Dict[str, str] = {}  # url -> name as registered
-        self._order: Dict[str, int] = {}  # url -> registration recency
-        self._tick = 0
+        self._known: Dict[str, Registration] = {}  # url -> latest record
 
     @staticmethod
     def _name_of(registration: Registration) -> str:
@@ -66,45 +59,50 @@ class NameIndex(GiisIndex):
         name = self._name_of(registration)
         self._index.discard(url)
         self._index.add(url, lambda a: (name,) if a == self.NAME_ATTR else ())
-        self._raw[url] = name
-        self._tick += 1
-        self._order[url] = self._tick
+        self._known[url] = registration
 
     def on_refresh(self, registration: Registration) -> None:
-        # A refresh may rename; recency is intentionally not bumped.
-        url = registration.service_url
-        if url in self._raw:
-            tick = self._order[url]
+        # A refresh may rename; it carries the seq it registered with.
+        if registration.service_url in self._known:
             self.on_register(registration)
-            self._tick -= 1
-            self._order[url] = tick
 
     def on_expire(self, registration: Registration) -> None:
         url = registration.service_url
         self._index.discard(url)
-        self._raw.pop(url, None)
-        self._order.pop(url, None)
+        self._known.pop(url, None)
 
     def resolve(self, name: str) -> Optional[str]:
         urls = self._index.equality(self.NAME_ATTR, name)
         if not urls:
             return None
-        return max(urls, key=lambda u: self._order.get(u, 0))
+        return max(urls, key=lambda u: self._known[u].seq)
+
+    def _names(self) -> set:
+        return {self._name_of(r) for r in self._known.values()}
 
     def names(self) -> List[str]:
-        return sorted(set(self._raw.values()))
+        return sorted(self._names())
 
     def __len__(self) -> int:
-        return len(set(self._raw.values()))
+        return len(self._names())
 
 
 class PullIndex(GiisIndex):
     """Follows registrations with GRIP pulls of the provider's subtree.
 
-    Subclasses override :meth:`store` / :meth:`evict`.  Pulls are
-    asynchronous; on the simulator they complete as virtual time
-    advances.  A *refresh_interval* re-pulls periodically — one of the
-    "specialized update strategies" of §5.2.
+    The one pulled store: service URL -> the entries of that provider's
+    latest successful pull, most recently pulled provider last.  An
+    answer is kept only while the registration it was asked for is the
+    live one, and expiry drops the provider, so the store never knows a
+    provider the registry has purged (§4.3).
+
+    A directory subclasses this with :meth:`derive` — the shape its
+    queries want, built from the whole store — and reads it through
+    :meth:`view`, which rebuilds only after the store changed.
+
+    Pulls are asynchronous; on the simulator they complete as virtual
+    time advances.  A *refresh_interval* re-pulls periodically — one of
+    the "specialized update strategies" of §5.2.
     """
 
     def __init__(
@@ -118,39 +116,67 @@ class PullIndex(GiisIndex):
         self.pulls = 0
         self.pull_failures = 0
         self._timers: Dict[str, object] = {}
+        self._asked: Dict[str, str] = {}  # url -> namespace its latest pull named
+        # Written under the registry lock (answers check liveness there,
+        # membership hooks fire there) and then this one; view() takes
+        # only this one.
+        self._lock = threading.Lock()
+        self._pulled: Dict[str, Tuple[Entry, ...]] = {}
+        self._changes = 0
+        self._derived: Tuple[int, object] = (-1, None)  # (_changes then, view)
 
     def attach(self, giis: GiisBackend) -> None:
         self.giis = giis
 
     # -- subclass API ------------------------------------------------------
 
-    def store(self, registration: Registration, entries: List[Entry]) -> None:
-        """Absorb a fresh snapshot of one provider's data."""
+    def derive(self, pulled: Mapping[str, Tuple[Entry, ...]]) -> object:
+        """Shape the pulled store for this directory's queries.  Called
+        with the store locked; must not keep *pulled* itself."""
         raise NotImplementedError
 
-    def evict(self, registration: Registration) -> None:
-        """Drop everything learned from one provider."""
-        raise NotImplementedError
+    def view(self):
+        """What :meth:`derive` makes of the store as it stands now."""
+        with self._lock:
+            if self._derived[0] != self._changes:
+                self._derived = (self._changes, self.derive(self._pulled))
+            return self._derived[1]
 
     # -- registration callbacks ------------------------------------------------
 
     def on_register(self, registration: Registration) -> None:
         self.pull(registration)
-        self._schedule_refresh(registration)
+        self._schedule_refresh(registration.service_url)
+
+    def on_refresh(self, registration: Registration) -> None:
+        # A refresh may legitimately advertise a new suffix (§5.2): what
+        # was pulled under the old one no longer describes the provider.
+        asked = self._asked.get(registration.service_url)
+        if asked is not None and asked != registration.suffix_text:
+            self.pull(registration)
 
     def on_expire(self, registration: Registration) -> None:
-        self._cancel_refresh(registration)
-        self.evict(registration)
+        url = registration.service_url
+        timer = self._timers.pop(url, None)
+        if timer is not None:
+            timer.cancel()
+        self._asked.pop(url, None)
+        with self._lock:
+            if self._pulled.pop(url, None) is not None:
+                self._changes += 1
 
     # -- pulling ------------------------------------------------------------------
 
     def pull(self, registration: Registration) -> None:
         assert self.giis is not None, "index not attached"
-        client = self.giis._client_for(registration.service_url)
+        registry = self.giis.registry
+        url = registration.service_url
+        seq, suffix = registration.seq, registration.suffix_text
+        self._asked[url] = suffix
+        client = self.giis._client_for(url)
         if client is None:
             self.pull_failures += 1
             return
-        suffix = registration.message.metadata.get("suffix", "")
         req = SearchRequest(
             base=suffix,
             scope=Scope.SUBTREE,
@@ -162,111 +188,38 @@ class PullIndex(GiisIndex):
             if not result.result.ok:
                 self.pull_failures += 1
                 return
-            self.store(registration, result.entries)
+            with registry.lock:
+                live = registry.lookup(url)
+                if live is None or live.seq != seq or live.suffix_text != suffix:
+                    # Asked of a provider that has since left, or died
+                    # and come back: no later event would evict it.  Or
+                    # of a namespace it no longer advertises.
+                    self.pull_failures += 1
+                    return
+                with self._lock:
+                    self._pulled.pop(url, None)  # a re-pull moves it last
+                    self._pulled[url] = tuple(result.entries)
+                    self._changes += 1
 
         try:
             client.search_async(req, on_done)
         except Exception:  # noqa: BLE001 - connection died: count and move on
             self.pull_failures += 1
 
-    def _schedule_refresh(self, registration: Registration) -> None:
+    def _schedule_refresh(self, url: str) -> None:
         if self.refresh_interval is None or self.giis is None:
             return
-        url = registration.service_url
+        giis = self.giis
 
         def tick() -> None:
-            if self.giis is None or not self.giis.registry.is_registered(url):
-                self._timers.pop(url, None)
-                return
-            self.pull(registration)
-            self._timers[url] = self.giis.clock.call_later(
-                self.refresh_interval, tick
-            )
+            with giis.registry.lock:
+                current = giis.registry.lookup(url)
+                if current is None:
+                    self._timers.pop(url, None)
+                    return
+                self.pull(current)
+                self._timers[url] = giis.clock.call_later(
+                    self.refresh_interval, tick
+                )
 
-        self._timers[url] = self.giis.clock.call_later(self.refresh_interval, tick)
-
-    def _cancel_refresh(self, registration: Registration) -> None:
-        timer = self._timers.pop(registration.service_url, None)
-        if timer is not None:
-            timer.cancel()
-
-
-class EntryCacheIndex(PullIndex):
-    """Pulled provider snapshots materialized into an indexed DIT.
-
-    The §3 relational directory stores pulls as tables; this index keeps
-    them in LDAP form instead, inside a :class:`~repro.ldap.dit.DIT`
-    whose secondary indexes (and the :mod:`~repro.ldap.plan` planner)
-    answer equality/presence lookups without scanning every cached
-    entry.  Ownership is tracked per DN so re-pulls and expiry evict
-    exactly one provider's contribution; when two providers publish the
-    same DN the most recent pull wins, and eviction leaves foreign
-    entries alone.
-
-    ``index_attrs`` defaults to the owning GIIS's ``index_attrs`` at
-    attach time, so one configuration knob drives both the GIIS and its
-    caches.
-    """
-
-    def __init__(
-        self,
-        filter_text: str = "(objectclass=*)",
-        refresh_interval: Optional[float] = None,
-        index_attrs: Optional[Sequence[str]] = None,
-    ):
-        super().__init__(filter_text, refresh_interval)
-        self._index_attrs = index_attrs
-        self.dit = DIT(index_attrs=index_attrs or ())
-        self._owned: Dict[str, List[DN]] = {}  # url -> DNs stored from it
-        self._owner: Dict[DN, str] = {}  # dn -> owning url
-
-    def attach(self, giis: GiisBackend) -> None:
-        super().attach(giis)
-        if self._index_attrs is None and getattr(giis, "index_attrs", ()):
-            self.dit.set_index_attrs(giis.index_attrs)
-
-    # -- PullIndex contract --------------------------------------------------
-
-    def store(self, registration: Registration, entries: List[Entry]) -> None:
-        self.evict(registration)
-        url = registration.service_url
-        owned: List[DN] = []
-        for entry in sorted(entries, key=lambda e: len(e.dn)):
-            self.dit.add(entry, replace=True)
-            self._owner[entry.dn] = url
-            owned.append(entry.dn)
-        self._owned[url] = owned
-
-    def evict(self, registration: Registration) -> None:
-        url = registration.service_url
-        # Deepest-first so children go before their parents.
-        for dn in sorted(self._owned.pop(url, ()), key=len, reverse=True):
-            if self._owner.get(dn) != url:
-                continue  # overwritten by a later pull from another provider
-            del self._owner[dn]
-            try:
-                self.dit.delete(dn)
-            except DitError:
-                # Another provider still holds entries beneath this DN;
-                # leave the (stale) node rather than orphan its subtree.
-                pass
-
-    # -- queries -------------------------------------------------------------
-
-    def search(
-        self,
-        base: DN | str,
-        scope: Scope = Scope.SUBTREE,
-        filt: Optional[Filter | str] = None,
-        attrs: Optional[Sequence[str]] = None,
-    ) -> List[Entry]:
-        """Planner-driven search over the cached entries."""
-        if isinstance(filt, str):
-            filt = parse_filter(filt)
-        try:
-            return self.dit.search(base, scope, filt, attrs=attrs)
-        except DitError:
-            return []
-
-    def __len__(self) -> int:
-        return len(self.dit)
+        self._timers[url] = giis.clock.call_later(self.refresh_interval, tick)

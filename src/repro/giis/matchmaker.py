@@ -24,9 +24,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from ..grip.registry import Registration
 from ..ldap.attributes import numeric_value
 from ..ldap.entry import Entry
 from .indexes import PullIndex
@@ -381,43 +380,36 @@ class MatchmakerDirectory(PullIndex):
 
     def __init__(self, refresh_interval: Optional[float] = None):
         super().__init__("(objectclass=*)", refresh_interval)
-        self._ads: Dict[str, Dict[str, ClassAd]] = {}  # provider -> dn -> ad
 
-    def store(self, registration: Registration, entries: List[Entry]) -> None:
-        ads: Dict[str, ClassAd] = {}
-        hosts: Dict[str, ClassAd] = {}
-        for entry in entries:
-            if entry.is_a("computer"):
-                ad = ClassAd.from_entry(entry, provider=registration.service_url)
-                ads[str(entry.dn)] = ad
-                host = entry.first("hn")
-                if host:
-                    hosts[host.lower()] = ad
-        for entry in entries:
-            if entry.is_a("computer"):
-                continue
-            host = _host_component(entry)
-            if host is None:
-                continue
-            ad = hosts.get(host.lower())
-            if ad is None:
-                continue
-            for attr, values in entry.items():
-                if attr.lower() not in ("objectclass",):
-                    ad.attrs.setdefault(attr.lower(), values[0])
-        self._ads[registration.service_url] = ads
-
-    def evict(self, registration: Registration) -> None:
-        self._ads.pop(registration.service_url, None)
-
-    def machine_ads(self) -> List[ClassAd]:
+    def derive(self, pulled: Mapping[str, Tuple[Entry, ...]]) -> List[ClassAd]:
         # Dedupe by entity DN: the same machine may be reachable through
         # several providers (directly and via its center directory).
         by_dn: Dict[str, ClassAd] = {}
-        for ads in self._ads.values():
-            for dn, ad in ads.items():
-                by_dn.setdefault(dn, ad)
+        for url, entries in pulled.items():
+            hosts: Dict[str, ClassAd] = {}
+            for entry in entries:
+                if entry.is_a("computer"):
+                    ad = ClassAd.from_entry(entry, provider=url)
+                    by_dn.setdefault(str(entry.dn), ad)
+                    host = entry.first("hn")
+                    if host:
+                        hosts[host.lower()] = ad
+            for entry in entries:
+                if entry.is_a("computer"):
+                    continue
+                host = _host_component(entry)
+                if host is None:
+                    continue
+                ad = hosts.get(host.lower())
+                if ad is None:
+                    continue
+                for attr, values in entry.items():
+                    if attr.lower() not in ("objectclass",):
+                        ad.attrs.setdefault(attr.lower(), values[0])
         return list(by_dn.values())
+
+    def machine_ads(self) -> List[ClassAd]:
+        return list(self.view())
 
     def match(self, request: ClassAd) -> List[Tuple[ClassAd, float]]:
         return match(request, self.machine_ads())

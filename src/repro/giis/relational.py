@@ -11,17 +11,16 @@ construction:
   projection, equi-joins, ordering) — "one can of course use any
   appropriate database technology to maintain the necessary indices";
 * :class:`RelationalDirectory`, a :class:`~repro.giis.indexes.PullIndex`
-  that follows each registration with a GRIP pull and shreds the
-  entries into per-objectclass tables keyed by provider;
+  that follows each registration with a GRIP pull and reads the pulled
+  entries as per-objectclass tables;
 * the paper's canonical join — "find me an idle computer that is
   connected to an idle network" (§5.3) — as a worked query.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from ..grip.registry import Registration
 from ..ldap.attributes import numeric_value
 from ..ldap.entry import Entry
 from .indexes import PullIndex
@@ -159,40 +158,17 @@ class RelationalDirectory(PullIndex):
     consulting the authoritative source" (§3).
     """
 
-    def __init__(
-        self,
-        filter_text: str = "(objectclass=*)",
-        refresh_interval: Optional[float] = None,
-    ):
-        super().__init__(filter_text, refresh_interval)
-        self._tables: Dict[str, Table] = {}
-        # provider url -> list of (table, row) for eviction
-        self._by_provider: Dict[str, List[Tuple[str, Row]]] = {}
-
-    # -- PullIndex plumbing -----------------------------------------------------
-
-    def store(self, registration: Registration, entries: List[Entry]) -> None:
-        self.evict(registration)
-        placed: List[Tuple[str, Row]] = []
-        for entry in entries:
-            row: Row = {"dn": str(entry.dn), "provider": registration.service_url}
-            for attr, values in entry.items():
-                row[attr.lower()] = values[0]
-            for oc in entry.object_classes:
-                table = self._tables.setdefault(oc.lower(), Table(oc.lower()))
-                table.rows.append(dict(row))
-                placed.append((oc.lower(), row))
-        self._by_provider[registration.service_url] = placed
-
-    def evict(self, registration: Registration) -> None:
-        placed = self._by_provider.pop(registration.service_url, ())
-        if not placed:
-            return
-        url = registration.service_url
-        for name in {t for t, _ in placed}:
-            table = self._tables.get(name)
-            if table is not None:
-                table.rows = [r for r in table.rows if r.get("provider") != url]
+    def derive(self, pulled: Mapping[str, Tuple[Entry, ...]]) -> Dict[str, Table]:
+        tables: Dict[str, Table] = {}
+        for url, entries in pulled.items():
+            for entry in entries:
+                row: Row = {"dn": str(entry.dn), "provider": url}
+                for attr, values in entry.items():
+                    row[attr.lower()] = values[0]
+                for oc in entry.object_classes:
+                    table = tables.setdefault(oc.lower(), Table(oc.lower()))
+                    table.rows.append(dict(row))
+        return tables
 
     def refresh_all(self) -> None:
         """Re-pull every active provider now."""
@@ -203,13 +179,13 @@ class RelationalDirectory(PullIndex):
     # -- query API -----------------------------------------------------------------
 
     def table(self, objectclass: str) -> Table:
-        return self._tables.get(objectclass.lower(), Table(objectclass.lower()))
+        return self.view().get(objectclass.lower(), Table(objectclass.lower()))
 
     def tables(self) -> List[str]:
-        return sorted(self._tables)
+        return sorted(self.view())
 
     def row_count(self) -> int:
-        return sum(len(t) for t in self._tables.values())
+        return sum(len(t) for t in self.view().values())
 
     # -- the paper's worked join (§5.3) ------------------------------------------------
 

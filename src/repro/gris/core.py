@@ -35,9 +35,8 @@ from ..ldap.backend import (
     RequestContext,
     SearchOutcome,
     Subscription,
-    _in_scope,
 )
-from ..ldap.dit import DIT, DitError, Scope
+from ..ldap.dit import DIT, DitError, Scope, in_scope
 from ..ldap.dn import DN, RDN
 from ..ldap.entry import Entry, WireCache
 from ..ldap.executor import RequestExecutor
@@ -112,7 +111,7 @@ def _scan(
         for rank, source in enumerate(sources)
         for earlier in [sources[:rank]]
         for entry in source.by_dn.values()
-        if _in_scope(entry.dn, base, scope)
+        if in_scope(entry.dn, base, scope)
         and match(entry)
         and not any(entry.dn in other.by_dn for other in earlier)
     ]
@@ -197,11 +196,6 @@ class GrisBackend(Backend):
         self._pool.shutdown(wait=wait)
         if self._view is not None:
             self._view.storage.close()
-
-    @property
-    def provider_errors(self) -> int:
-        """Compatibility view over the registry-backed error counter."""
-        return int(self._provider_errors.value)
 
     # -- configuration ("dynamically or statically", §10.3) -------------------
 
@@ -446,7 +440,7 @@ class GrisBackend(Backend):
                 entry
                 for entry in (_first(sources, dn) for dn in candidates)
                 if entry is not None  # None: a posting outside this collect
-                and _in_scope(entry.dn, base, req.scope)
+                and in_scope(entry.dn, base, req.scope)
                 and match(entry)
             ]
         found.sort(key=lambda e: e.dn.sort_key)

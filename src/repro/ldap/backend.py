@@ -376,7 +376,7 @@ class DitBackend(Backend):
                 base = req.base_dn()
             except Exception:
                 continue
-            if not _in_scope(entry.dn, base, req.scope):
+            if not in_scope(entry.dn, base, req.scope):
                 continue
             # DELETE notifications match on scope only: the entry's final
             # attribute state is gone, so the filter cannot be applied.
@@ -386,8 +386,3 @@ class DitBackend(Backend):
 
     def subscription_count(self) -> int:
         return len(self._subscriptions)
-
-
-# Scope membership lives next to the DIT now (the planner needs it per
-# candidate); keep the historical name for the GIIS/GRIS/monitor callers.
-_in_scope = in_scope

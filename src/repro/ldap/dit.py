@@ -21,10 +21,10 @@ normalizes the write into one typed
 :class:`~repro.ldap.storage.ChangeOp`, and funnels it through a single
 choke point (:meth:`DIT._apply`) onto a pluggable
 :class:`~repro.ldap.storage.StorageEngine`.  The default engine is
-in-memory (byte-identical to the historical behavior); WAL and sqlite
-engines persist every op so the tree — registrations, cached entries,
-and all — survives a crash and replays on restart (paper §10.2 rode on
-OpenLDAP's persistent indexed backends for exactly this).  Indexes are
+memory; the WAL engine also logs every op so the tree — registrations,
+cached entries, and all — survives a crash and replays on restart
+(paper §10.2 rode on OpenLDAP's persistent indexed backends for exactly
+this).  Indexes are
 rebuilt from the replayed entries at construction time.
 
 This store backs the GRIS/GIIS servers when they hold materialized data;

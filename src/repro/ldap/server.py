@@ -126,11 +126,9 @@ class LdapServer:
         self.default_time_limit = default_time_limit
         # Per-operation counters and latency histograms live on the
         # metrics registry (share one across components to aggregate a
-        # whole process under cn=monitor); `stats` stays as the
-        # backward-compatible read view.
+        # whole process under cn=monitor).
         self.metrics = metrics or MetricsRegistry()
         self.tracer = tracer
-        self.stats = _ServerStats(self.metrics)
         self._connections = self.metrics.counter("ldap.connections")
         self._protocol_errors = self.metrics.counter("ldap.protocol.errors")
         self._trace_malformed = self.metrics.counter("trace.context.malformed")
@@ -184,56 +182,6 @@ class LdapServer:
     def handle_connection(self, conn: Connection) -> None:
         self._connections.inc()
         _ServerConnection(self, conn)
-
-
-class _ServerStats:
-    """Read view over the registry-backed front-end counters.
-
-    Attribute-compatible with the old ad-hoc counter bag; all writes go
-    through :attr:`LdapServer.metrics` now.
-    """
-
-    def __init__(self, metrics: MetricsRegistry) -> None:
-        self._m = metrics
-
-    def _count(self, name: str, labels=None) -> int:
-        return int(self._m.counter(name, labels).value)
-
-    @property
-    def connections(self) -> int:
-        return self._count("ldap.connections")
-
-    @property
-    def searches(self) -> int:
-        return self._count("ldap.requests", {"op": "search"})
-
-    @property
-    def binds(self) -> int:
-        return self._count("ldap.requests", {"op": "bind"})
-
-    @property
-    def adds(self) -> int:
-        return self._count("ldap.requests", {"op": "add"})
-
-    @property
-    def modifies(self) -> int:
-        return self._count("ldap.requests", {"op": "modify"})
-
-    @property
-    def deletes(self) -> int:
-        return self._count("ldap.requests", {"op": "delete"})
-
-    @property
-    def entries_returned(self) -> int:
-        return self._count("ldap.entries.returned")
-
-    @property
-    def entries_suppressed(self) -> int:
-        return self._count("ldap.entries.suppressed")
-
-    @property
-    def protocol_errors(self) -> int:
-        return self._count("ldap.protocol.errors")
 
 
 class _InFlightSearch:

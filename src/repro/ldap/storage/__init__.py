@@ -1,4 +1,4 @@
-"""Pluggable DIT storage engines (memory, write-ahead log, sqlite).
+"""DIT storage engines: memory, or memory behind a write-ahead log.
 
 See :mod:`repro.ldap.storage.api` for the ``ChangeOp``/``StorageEngine``
 contract and :func:`make_storage` for the config-driven factory used by
@@ -19,7 +19,6 @@ from .api import (
     parse_storage_spec,
 )
 from .memory import MemoryEngine
-from .sqlite import SqliteEngine
 from .wal import WAL_HEADER, WalEngine, read_wal
 
 __all__ = [
@@ -32,7 +31,6 @@ __all__ = [
     "StorageSpec",
     "MemoryEngine",
     "WalEngine",
-    "SqliteEngine",
     "entry_from_record",
     "entry_to_record",
     "make_storage",

@@ -1,21 +1,20 @@
 """The storage-engine API: one typed choke point for every DIT write.
 
 The paper's deployment rides on OpenLDAP's *persistent* indexed
-backends (§10.2); this reproduction was purely in-RAM until now, so a
-GIIS restart lost every registration and cached entry until soft-state
-refresh repopulated it.  This package makes the mutation surface
-pluggable the way production descendants split their storage layers
-(diracx-db's ``db/sql`` vs ``db/os``):
+backends (§10.2): a GIIS restart must not lose every registration and
+cached entry until soft-state refresh repopulates them.  Serving is
+always from RAM; an engine decides only whether a write also reaches
+disk.  There are two: memory (volatile) and WAL (durable).
 
 * :class:`ChangeOp` — a typed, serializable description of one write.
-  The six ad-hoc DIT mutators (``add``/``replace``/``modify``/
-  ``delete``/``clear``/``load``) all normalize into three mechanical
-  kinds: ``PUT`` (post-image upsert), ``DELETE`` (single DN), and
-  ``CLEAR``.  Post-image logging makes every op idempotent, which is
-  what lets crash recovery replay a write-ahead log over its own
-  snapshot without sequence numbers.
-* :class:`StorageEngine` — the four-method protocol every backend
-  implements: ``apply``, ``replay``, ``snapshot``, ``close``.  Engines
+  The six DIT mutators (``add``/``replace``/``modify``/``delete``/
+  ``clear``/``load``) all normalize into three mechanical kinds:
+  ``PUT`` (post-image upsert), ``DELETE`` (single DN), and ``CLEAR``.
+  Post-image logging makes every op idempotent, which is what lets
+  crash recovery replay a write-ahead log over its own snapshot
+  without sequence numbers.
+* :class:`StorageEngine` — the four-method protocol both engines
+  implement: ``apply``, ``replay``, ``snapshot``, ``close``.  Engines
   own the in-memory tree state (``entries`` + ``children``); the DIT
   keeps semantic checks (entryAlreadyExists, noSuchObject, non-leaf
   delete) and secondary-index maintenance in its thin wrappers, so
@@ -28,8 +27,8 @@ pluggable the way production descendants split their storage layers
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Set
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Dict, Optional, Set
 
 from ..dn import DN
 from ..entry import Entry
@@ -50,7 +49,7 @@ __all__ = [
     "FSYNC_POLICIES",
 ]
 
-BACKENDS = ("memory", "wal", "sqlite")
+BACKENDS = ("memory", "wal")
 FSYNC_POLICIES = ("always", "batch", "never")
 
 
@@ -136,16 +135,16 @@ class StorageEngine:
     (DN → Entry) and ``children`` (DN → child DN set, spanning glue
     nodes) — and implements exactly four methods.  Owners (the DIT, a
     GIIS persisting registrations) alias these dicts for reads and
-    serialize every call under their own lock; durable engines take an
+    serialize every call under their own lock; the WAL engine takes an
     internal lock as well so a bare engine shared without a DIT stays
     consistent.
 
-    * ``apply(op)`` — mutate the in-memory state and, for durable
-      engines, persist the op.  Mechanical: semantic LDAP checks happen
+    * ``apply(op)`` — mutate the in-memory state and, on the WAL
+      engine, persist the op.  Mechanical: semantic LDAP checks happen
       in the caller before the op is built.  Returns the stored entry
       for ``PUT``, else None.
     * ``replay()`` — recover persisted state into the in-memory maps
-      (snapshot load + WAL replay, or a table scan).  Idempotent:
+      (snapshot load, then WAL replay).  Idempotent:
       second and later calls return 0.  Returns the number of replayed
       log ops.
     * ``snapshot()`` — force a durable checkpoint and compact the log.
@@ -186,7 +185,6 @@ class StorageSpec:
     path: str = ""
     fsync: str = "batch"
     snapshot_every: int = 10000
-    extra: Dict[str, object] = field(default_factory=dict)
 
     def validate(self, require_path: bool = True) -> "StorageSpec":
         """Check the spec; ``require_path=False`` defers the path check.
@@ -234,13 +232,7 @@ def make_storage(
     if isinstance(spec, str):
         spec = StorageSpec(backend=spec, path=path or "")
     elif path:
-        spec = StorageSpec(
-            backend=spec.backend,
-            path=path,
-            fsync=spec.fsync,
-            snapshot_every=spec.snapshot_every,
-            extra=spec.extra,
-        )
+        spec = replace(spec, path=path)
     spec.validate()
     if spec.backend == "memory":
         from .memory import MemoryEngine
@@ -251,22 +243,12 @@ def make_storage(
     root = pathlib.Path(spec.path)
     if subdir:
         root = root / subdir
-    if spec.backend == "wal":
-        from .wal import WalEngine
+    from .wal import WalEngine
 
-        return WalEngine(
-            root,
-            fsync=spec.fsync,
-            snapshot_every=spec.snapshot_every,
-            metrics=metrics,
-            tracer=tracer,
-            name=name or subdir,
-        )
-    from .sqlite import SqliteEngine
-
-    return SqliteEngine(
-        root.with_suffix(".sqlite") if root.suffix else root / "store.sqlite",
+    return WalEngine(
+        root,
         fsync=spec.fsync,
+        snapshot_every=spec.snapshot_every,
         metrics=metrics,
         tracer=tracer,
         name=name or subdir,

@@ -1,11 +1,12 @@
-"""The default in-memory engine: the historical DIT behavior, verbatim.
+"""The in-memory engine: the tree state every search is served from.
 
 Owns the entry map and the parent→children adjacency (including glue
-nodes) that used to live inline in :class:`~repro.ldap.dit.DIT`.  Apply
-is mechanical — upsert, remove-if-present, clear — and mutates the maps
-*in place* so owners that alias ``entries``/``children`` for reads stay
-valid across a ``CLEAR``.  Holds no lock of its own: the owner (DIT or
-GIIS) serializes calls, exactly as :class:`AttributeIndex` documents.
+nodes) under a :class:`~repro.ldap.dit.DIT`.  Apply is mechanical —
+upsert, remove-if-present, clear — and mutates the maps *in place* so
+owners that alias ``entries``/``children`` for reads stay valid across
+a ``CLEAR``.  Holds no lock of its own: the owner (DIT or GIIS)
+serializes calls, exactly as :class:`AttributeIndex` documents.  The
+WAL engine is this one plus a log.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ class MemoryEngine(StorageEngine):
         return self._apply_memory(op)
 
     def _apply_memory(self, op: ChangeOp) -> Optional[Entry]:
-        """Mutate the in-memory maps only (shared with durable replay)."""
+        """Mutate the in-memory maps only (shared with WAL replay)."""
         if op.kind == ChangeKind.PUT:
             self.entries[op.dn] = op.entry
             self._link(op.dn)

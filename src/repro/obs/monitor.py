@@ -39,9 +39,8 @@ from ..ldap.backend import (
     SearchHandle,
     SearchOutcome,
     Subscription,
-    _in_scope,
 )
-from ..ldap.dit import Scope
+from ..ldap.dit import Scope, in_scope
 from ..ldap.filter import compile_filter
 from ..ldap.dn import DN, RDN
 from ..ldap.entry import Entry
@@ -244,7 +243,7 @@ class MonitorBackend(Backend):
         entries = [
             e
             for e in self.entries()
-            if _in_scope(e.dn, base, req.scope) and match(e)
+            if in_scope(e.dn, base, req.scope) and match(e)
         ]
         if req.scope == Scope.BASE and not entries:
             return SearchOutcome(

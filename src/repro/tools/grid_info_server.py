@@ -124,9 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="durability backend for registrations and the materialized "
         "view: 'memory' loses state on exit, 'wal' appends to a "
-        "write-ahead log with periodic snapshots, 'sqlite' mirrors "
-        "into a single-file database (overrides the config file's "
-        "'storage' object; 'wal' and 'sqlite' need --data-dir or a "
+        "write-ahead log with periodic snapshots (overrides the config "
+        "file's 'storage' object; 'wal' needs --data-dir or a "
         "configured path)",
     )
     parser.add_argument(

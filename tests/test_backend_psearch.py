@@ -10,10 +10,9 @@ from repro.ldap.backend import (
     ChangeType,
     DitBackend,
     RequestContext,
-    _in_scope,
 )
 from repro.ldap.client import LdapClient
-from repro.ldap.dit import DIT, Scope
+from repro.ldap.dit import DIT, Scope, in_scope
 from repro.ldap.dn import DN
 from repro.ldap.entry import Entry
 from repro.ldap.filter import parse as parse_filter
@@ -229,21 +228,21 @@ class TestSubscriptionSemantics:
 
 class TestInScope:
     def test_base(self):
-        assert _in_scope(DN.parse("a=1"), DN.parse("a=1"), Scope.BASE)
-        assert not _in_scope(DN.parse("b=2, a=1"), DN.parse("a=1"), Scope.BASE)
+        assert in_scope(DN.parse("a=1"), DN.parse("a=1"), Scope.BASE)
+        assert not in_scope(DN.parse("b=2, a=1"), DN.parse("a=1"), Scope.BASE)
 
     def test_onelevel(self):
         base = DN.parse("a=1")
-        assert _in_scope(DN.parse("b=2, a=1"), base, Scope.ONELEVEL)
-        assert not _in_scope(base, base, Scope.ONELEVEL)
-        assert not _in_scope(DN.parse("c=3, b=2, a=1"), base, Scope.ONELEVEL)
-        assert not _in_scope(DN.root(), base, Scope.ONELEVEL)
+        assert in_scope(DN.parse("b=2, a=1"), base, Scope.ONELEVEL)
+        assert not in_scope(base, base, Scope.ONELEVEL)
+        assert not in_scope(DN.parse("c=3, b=2, a=1"), base, Scope.ONELEVEL)
+        assert not in_scope(DN.root(), base, Scope.ONELEVEL)
 
     def test_subtree(self):
         base = DN.parse("a=1")
-        assert _in_scope(base, base, Scope.SUBTREE)
-        assert _in_scope(DN.parse("c=3, b=2, a=1"), base, Scope.SUBTREE)
-        assert not _in_scope(DN.parse("a=2"), base, Scope.SUBTREE)
+        assert in_scope(base, base, Scope.SUBTREE)
+        assert in_scope(DN.parse("c=3, b=2, a=1"), base, Scope.SUBTREE)
+        assert not in_scope(DN.parse("a=2"), base, Scope.SUBTREE)
 
 
 class TestPsearchCodec:

@@ -466,7 +466,7 @@ class TestBackpressureOverTcp:
                 SearchRequest(base="o=G", scope=Scope.SUBTREE),
                 lambda r, _e: None,
             )
-            assert _wait_until(lambda: server.stats.searches == 1)
+            assert _wait_until(lambda: server.metrics.counter("ldap.requests", {"op": "search"}).value == 1)
             client_ep.close()  # closes the dialed connection too
             assert _wait_until(
                 lambda: metrics.counter(

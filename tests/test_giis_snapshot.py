@@ -38,8 +38,8 @@ from hypothesis.stateful import RuleBasedStateMachine, rule
 from repro.giis.core import GiisBackend
 from repro.grip.messages import GrrpMessage, NotificationType
 from repro.grip.registry import SoftStateRegistry
-from repro.ldap.backend import DitBackend, RequestContext, _in_scope
-from repro.ldap.dit import DIT, Scope
+from repro.ldap.backend import DitBackend, RequestContext
+from repro.ldap.dit import DIT, Scope, in_scope
 from repro.ldap.dn import DN, DNError
 from repro.ldap.entry import Entry
 from repro.ldap.protocol import (
@@ -98,7 +98,7 @@ class ReferenceGiis(GiisBackend):
             entry = registration.message.to_entry(self.suffix)
             entry.put("regsource", registration.source_identity or "unknown")
             out.append(entry)
-        return [e for e in out if _in_scope(e.dn, base, scope) and match(e)]
+        return [e for e in out if in_scope(e.dn, base, scope) and match(e)]
 
     def _route(self, base):
         targets = []

@@ -258,7 +258,7 @@ class TestGrisBackend:
         out = gris.search(req(), CTX)
         assert out.result.ok
         assert len(out.entries) >= 4
-        assert gris.provider_errors == 1
+        assert gris.metrics.counter("gris.provider.errors").value == 1
 
     def test_duplicate_provider_rejected(self):
         _, gris = make_gris()

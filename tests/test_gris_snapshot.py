@@ -26,8 +26,8 @@ import pytest
 
 from repro.gris import FunctionProvider, GrisBackend, ProviderCache, ProviderError
 from repro.gris.provider import InformationProvider
-from repro.ldap.backend import Backend, ChangeType, RequestContext, SearchOutcome, _in_scope
-from repro.ldap.dit import Scope
+from repro.ldap.backend import Backend, ChangeType, RequestContext, SearchOutcome
+from repro.ldap.dit import Scope, in_scope
 from repro.ldap.dn import DN
 from repro.ldap.entry import Entry
 from repro.ldap.filter import compile_filter, parse as parse_filter
@@ -147,7 +147,7 @@ class ReferenceGris(Backend):
                 merged.setdefault(entry.dn, entry)
         match = compile_filter(req.filter)
         found = [
-            e for e in merged.values() if _in_scope(e.dn, base, req.scope) and match(e)
+            e for e in merged.values() if in_scope(e.dn, base, req.scope) and match(e)
         ]
         if req.scope == Scope.BASE and not found:
             return SearchOutcome(

@@ -1,5 +1,6 @@
 """Repository-wide quality gates and cross-implementation checks."""
 
+import ast
 import importlib
 import pathlib
 import pkgutil
@@ -16,6 +17,22 @@ def _all_modules():
     for info in pkgutil.walk_packages([str(root)], prefix="repro."):
         names.append(info.name)
     return names
+
+
+def _import_statements():
+    """(file:line, module, imported names) for every import under src/,
+    examples/, tests/ and benchmarks/; ``import a.b`` names nothing.
+    Walking the syntax tree keeps a gate from matching its own text."""
+    root = pathlib.Path(__file__).parents[1]
+    for top in ("src", "examples", "tests", "benchmarks"):
+        for path in sorted((root / top).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                where = f"{path.relative_to(root)}:{getattr(node, 'lineno', 0)}"
+                if isinstance(node, ast.Import):
+                    for alias in node.names:
+                        yield where, alias.name, set()
+                elif isinstance(node, ast.ImportFrom):
+                    yield where, node.module or "", {a.name for a in node.names}
 
 
 class TestDocumentation:
@@ -62,27 +79,11 @@ class TestOneWireTransport:
     GONE = {"TcpEndpoint", "TcpConnection", "TRANSPORTS"}
 
     def test_nothing_imports_the_thread_transport(self):
-        import ast
-
-        root = pathlib.Path(__file__).parents[1]
         offenders = []
-        for top in ("src", "examples", "tests", "benchmarks"):
-            for path in sorted((root / top).rglob("*.py")):
-                for node in ast.walk(ast.parse(path.read_text())):
-                    if isinstance(node, ast.Import):
-                        bad = any(a.name == "repro.net.tcp" for a in node.names)
-                    elif isinstance(node, ast.ImportFrom):
-                        last = (node.module or "").rpartition(".")[2]
-                        names = {a.name for a in node.names}
-                        bad = (
-                            last == "tcp"
-                            or (last in ("net", "") and "tcp" in names)
-                            or bool(names & self.GONE)
-                        )
-                    else:
-                        continue
-                    if bad:
-                        offenders.append(f"{path.relative_to(root)}:{node.lineno}")
+        for where, module, names in _import_statements():
+            last = module.rpartition(".")[2]
+            if last == "tcp" or (last in ("net", "") and "tcp" in names) or names & self.GONE:
+                offenders.append(where)
         assert not offenders
 
     def test_server_has_no_transport_flag(self):
@@ -98,6 +99,49 @@ class TestOneWireTransport:
         assert type(endpoint) is ReactorEndpoint
         with pytest.raises(ValueError):
             make_endpoint("threads")
+
+
+class TestOneDurableEngine:
+    """WAL is the only durable engine and ``PullIndex`` the only pulled
+    store: no mirror engine, no unread index, no per-directory copies."""
+
+    GONE = {"SqliteEngine", "EntryCacheIndex"}
+
+    def test_nothing_imports_the_deleted_engine_or_index(self):
+        gone = self.GONE | {"sqlite3", "sqlite"}
+        offenders = [
+            where
+            for where, module, names in _import_statements()
+            if (names | set(module.split("."))) & gone
+        ]
+        assert not offenders
+
+    def test_backends_and_server_help(self):
+        from repro.ldap.storage import BACKENDS
+        from repro.tools.grid_info_server import build_parser
+
+        assert BACKENDS == ("memory", "wal")
+        assert "sqlite" not in build_parser().format_help().lower()
+
+    def test_giis_takes_no_index_attrs(self):
+        import inspect
+
+        from repro.giis import GiisBackend
+
+        assert "index_attrs" not in inspect.signature(GiisBackend).parameters
+
+    def test_no_directory_keeps_a_store_of_its_own(self):
+        from repro.giis import PullIndex
+
+        def family(cls):
+            yield cls
+            for sub in cls.__subclasses__():
+                yield from family(sub)
+
+        shipped = [c for c in family(PullIndex) if c.__module__.startswith("repro.")]
+        assert len(shipped) >= 3  # the base, relational, matchmaker
+        for cls in shipped:
+            assert not {"store", "evict"} & set(vars(cls)), cls
 
 
 class TestGiisSearchBuildsNothing:

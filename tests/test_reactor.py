@@ -334,7 +334,7 @@ class TestNothingBehindAClosingFrameIsDispatched:
 
     def _assert_untouched(self, server, dit):
         assert [str(e.dn) for e in dit.search("", 2)] == ["o=Grid"]
-        assert server.stats.adds == 0
+        assert server.metrics.counter("ldap.requests", {"op": "add"}).value == 0
 
     @pytest.mark.parametrize(
         "segments",
@@ -370,9 +370,9 @@ class TestNothingBehindAClosingFrameIsDispatched:
             assert read_to_eof(raw) == b""
         finally:
             raw.close()
-        assert server.stats.protocol_errors == 1
+        assert server.metrics.counter("ldap.protocol.errors").value == 1
         assert server.metrics.counter("reactor.callback_errors").value == 0
-        assert server.stats.searches == 0
+        assert server.metrics.counter("ldap.requests", {"op": "search"}).value == 0
         self._assert_untouched(server, dit)
 
         client = LdapClient(endpoint.connect(("127.0.0.1", port)))

@@ -435,7 +435,7 @@ class TestServerRobustness:
     def test_protocol_garbage_closes_connection(self, fx):
         fx.client.conn.send(b"\x00\xde\xad")
         fx.sim.run()
-        assert fx.server.stats.protocol_errors == 1
+        assert fx.server.metrics.counter("ldap.protocol.errors").value == 1
 
     def test_response_op_to_server_is_violation(self, fx):
         from repro.ldap.protocol import (
@@ -449,7 +449,7 @@ class TestServerRobustness:
             encode_message(LdapMessage(1, BindResponse(LdapResult())))
         )
         fx.sim.run()
-        assert fx.server.stats.protocol_errors == 1
+        assert fx.server.metrics.counter("ldap.protocol.errors").value == 1
 
     def test_stats_accounting(self, fx):
         fx.client.bind()
@@ -457,11 +457,8 @@ class TestServerRobustness:
         fx.client.add(Entry("hn=s1, o=Grid", objectclass="computer", hn="s1"))
         fx.client.modify("hn=s1, o=Grid", [(ModifyRequest.OP_REPLACE, "hn", ["s1"])])
         fx.client.delete("hn=s1, o=Grid")
-        stats = fx.server.stats
-        assert stats.binds == 1
-        assert stats.searches == 1
-        assert stats.adds == 1
-        assert stats.modifies == 1
-        assert stats.deletes == 1
-        assert stats.entries_returned == 3
-        assert stats.connections == 1
+        counter = fx.server.metrics.counter
+        for op in ("bind", "search", "add", "modify", "delete"):
+            assert counter("ldap.requests", {"op": op}).value == 1
+        assert counter("ldap.entries.returned").value == 3
+        assert counter("ldap.connections").value == 1

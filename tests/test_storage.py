@@ -1,15 +1,16 @@
-"""Durable DIT storage: the ChangeOp choke point and the three engines.
+"""Durable DIT storage: the ChangeOp choke point and the two engines.
 
 Layers:
 
 * unit tests for :class:`ChangeOp` (record round-trip) and the
   :func:`make_storage` factory's validation errors;
-* engine equivalence: the same mutation sequence through memory-, WAL-
-  and sqlite-backed DITs yields byte-identical trees and searches,
-  before and after a restart;
+* engine equivalence: the same mutation sequence through memory- and
+  WAL-backed DITs yields byte-identical trees and searches, before and
+  after a restart;
 * crash-tail semantics: a WAL truncated or corrupted at any byte
   recovers exactly the prefix of fully-framed ops (hypothesis property
-  with an independent frame-offset oracle), planned searches included;
+  with an independent frame-offset oracle), planned searches included,
+  and a crash at any point inside ``snapshot()`` recovers the whole tree;
 * snapshot/compaction lifecycle, including the auto-snapshot threshold
   and replay of a stale log over its own snapshot (idempotence);
 * GIIS/GRIS warm restart: registrations and the materialized view
@@ -40,7 +41,6 @@ from repro.ldap.storage import (
     ChangeKind,
     ChangeOp,
     MemoryEngine,
-    SqliteEngine,
     StorageError,
     WalEngine,
     entry_from_record,
@@ -49,7 +49,7 @@ from repro.ldap.storage import (
     parse_storage_spec,
     read_wal,
 )
-from repro.ldap.storage.wal import WAL_FILE, _encode_record
+from repro.ldap.storage.wal import SNAPSHOT_FILE, WAL_FILE, _encode_record
 from repro.net.clock import WallClock
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
@@ -68,7 +68,6 @@ def _engines(tmp_path, tag=""):
     return {
         "memory": MemoryEngine(),
         "wal": WalEngine(tmp_path / f"wal{tag}"),
-        "sqlite": SqliteEngine(tmp_path / f"db{tag}.sqlite"),
     }
 
 
@@ -134,6 +133,35 @@ class TestFactory:
         assert make_storage("memory").backend_name == "memory"
 
 
+class TestAnUnknownBackendStopsTheServer:
+    """A name that is not an engine — the deleted ``sqlite`` included —
+    ends startup with status 2; it never falls back to memory."""
+
+    def test_config_naming_it(self, tmp_path, capsys):
+        from repro.tools.grid_info_server import main
+
+        config = tmp_path / "giis.json"
+        config.write_text(
+            json.dumps({"suffix": "o=Grid", "giis": {}, "storage": {"backend": "sqlite"}})
+        )
+        args = ["--config", str(config), "--port", "0", "--data-dir", str(tmp_path / "d")]
+        assert main(args, run_forever=False) == 2
+        message = "unknown storage backend 'sqlite' (choose from memory, wal)"
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
+    def test_flag_naming_it(self, tmp_path, capsys):
+        from repro.tools.grid_info_server import main
+
+        config = tmp_path / "giis.json"
+        config.write_text(json.dumps({"suffix": "o=Grid", "giis": {}}))
+        with pytest.raises(SystemExit) as refused:  # argparse: not among the choices
+            main(["--config", str(config), "--storage", "sqlite"], run_forever=False)
+        assert refused.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'sqlite'" in err and "wal" in err
+
+
 def _mutate(dit):
     """A fixed mutation sequence exercising every DIT write op."""
     dit.add(Entry("o=Grid", objectclass="organization", o="Grid"))
@@ -164,9 +192,8 @@ class TestEngineEquivalence:
             shapes[name] = (_shape(dit), [str(e.dn) for e in out])
             engine.close()
         assert shapes["wal"] == shapes["memory"]
-        assert shapes["sqlite"] == shapes["memory"]
 
-    @pytest.mark.parametrize("backend", ["wal", "sqlite"])
+    @pytest.mark.parametrize("backend", ["wal"])
     def test_restart_is_byte_identical(self, tmp_path, backend):
         baseline = DIT(index_attrs=("cpu",))
         _mutate(baseline)
@@ -375,6 +402,82 @@ def test_crash_at_any_byte_boundary_replays_the_clean_prefix(
 
 def _shape_of(entries):
     return [(str(e.dn), sorted((a, list(v)) for a, v in e.items())) for e in entries]
+
+
+_SNAPSHOT_CRASHES = ("tmp torn", "tmp complete", "renamed, log full", "log truncated")
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    script=st.lists(_op, min_size=1, max_size=12),
+    earlier=st.integers(min_value=0, max_value=12),
+    crash=st.sampled_from(_SNAPSHOT_CRASHES),
+    data=st.data(),
+)
+def test_crash_at_any_point_inside_snapshot_recovers_the_whole_tree(
+    tmp_path_factory, script, earlier, crash, data
+):
+    """Dying anywhere in ``snapshot()`` loses nothing that was logged.
+
+    ``snapshot()`` writes ``snapshot.tmp``, renames it over the
+    checkpoint, then truncates the log.  Each point it can die at is
+    laid out on disk by hand — the checkpoint an *earlier* snapshot left
+    (none when ``earlier`` is 0), the log since then, and the new
+    checkpoint's bytes as far as they got — and reopened.  The oracle is
+    every op applied to a plain in-memory engine.
+    """
+    tmp = tmp_path_factory.mktemp("snapcrash")
+    ops = _build_ops(script)
+    earlier = min(earlier, len(ops))
+    engine = WalEngine(tmp / "live", fsync="never", snapshot_every=0)
+    for op in ops[:earlier]:
+        engine.apply(op)
+    if earlier:
+        engine.snapshot()
+    for op in ops[earlier:]:
+        engine.apply(op)
+    old_snapshot = (
+        (tmp / "live" / SNAPSHOT_FILE).read_bytes() if earlier else None
+    )
+    full_log = (tmp / "live" / WAL_FILE).read_bytes()
+    engine.snapshot()
+    engine.close()
+    new_snapshot = (tmp / "live" / SNAPSHOT_FILE).read_bytes()
+
+    crashed = tmp / "crashed"
+    crashed.mkdir()
+    if crash.startswith("tmp"):
+        if old_snapshot is not None:
+            (crashed / SNAPSHOT_FILE).write_bytes(old_snapshot)
+        (crashed / WAL_FILE).write_bytes(full_log)
+        written = (
+            len(new_snapshot)
+            if crash == "tmp complete"
+            else data.draw(st.integers(0, len(new_snapshot) - 1), label="tmp bytes")
+        )
+        (crashed / "snapshot.tmp").write_bytes(new_snapshot[:written])
+    else:
+        (crashed / SNAPSHOT_FILE).write_bytes(new_snapshot)
+        (crashed / WAL_FILE).write_bytes(
+            full_log if crash == "renamed, log full" else b""
+        )
+
+    expected = MemoryEngine()
+    for op in ops:
+        expected.apply(op)
+    baseline = DIT(index_attrs=("cpu",), storage=expected)
+    recovered = DIT(index_attrs=("cpu",), storage=WalEngine(crashed))
+    assert _shape(recovered) == _shape(baseline)
+    for filt in ("(cpu=x86)", "(&(objectclass=computer)(cpu=mips))"):
+        got = recovered.search("o=Grid", Scope.SUBTREE, parse_filter(filt))
+        want = baseline.search("o=Grid", Scope.SUBTREE, parse_filter(filt))
+        assert _shape_of(got) == _shape_of(want)
+    # The survivor can checkpoint again over whatever the crash left.
+    recovered.storage.snapshot()
+    recovered.storage.close()
+    again = DIT(storage=WalEngine(crashed))
+    assert _shape(again) == _shape(baseline)
+    again.storage.close()
 
 
 # -- the clear() gauge regression (satellite fix) ------------------------------
