@@ -53,6 +53,7 @@ from ..ldap.backend import (
     SearchHandle,
     SearchOutcome,
     Subscription,
+    SubscriptionTable,
     stream_outcome,
 )
 from ..ldap.attributes import CASE_EXACT
@@ -322,8 +323,7 @@ class GiisBackend(Backend):
         # holds the lock.
         self._query_cache: "OrderedDict[Tuple, _QueryCacheSlot]" = OrderedDict()
         self._query_cache_lock = threading.Lock()
-        self._subs: Dict[int, Tuple[SearchRequest, int, ChangeCallback]] = {}
-        self._next_sub = 0
+        self._subscriptions = SubscriptionTable()
         # Durable registration state: every membership change is
         # mirrored into the engine as the registration *entry* (the
         # same post-image the GIIS serves), so a restart replays the
@@ -356,7 +356,7 @@ class GiisBackend(Backend):
         entry = registration.entry
         gone = change == ChangeType.DELETE
         self._persist(ChangeOp.delete(entry.dn) if gone else ChangeOp.put(entry))
-        self._notify_subs(entry, change)
+        self._subscriptions.notify(entry, change)
 
     # -- durable registration state --------------------------------------------
 
@@ -834,21 +834,7 @@ class GiisBackend(Backend):
         change_types: int = ChangeType.ALL,
     ) -> Subscription:
         """Notify on VO membership changes (registration add/expiry)."""
-        self._next_sub += 1
-        key = self._next_sub
-        self._subs[key] = (req, change_types, push)
-        return Subscription(lambda: self._subs.pop(key, None))
-
-    def _notify_subs(self, entry: Entry, change: int) -> None:
-        for req, change_types, push in list(self._subs.values()):
-            if not change_types & change:
-                continue
-            base = req.base_dn()
-            if not in_scope(entry.dn, base, req.scope):
-                continue
-            if change != ChangeType.DELETE and not req.filter.matches(entry):
-                continue
-            push(entry.copy(), change)
+        return self._subscriptions.subscribe(req, push, change_types)
 
 
 class _StreamCollector:

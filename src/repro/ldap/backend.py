@@ -10,11 +10,14 @@ wire protocol.
 
 :class:`DitBackend` is the reference implementation over a
 :class:`~repro.ldap.dit.DIT`, with change notification hooks driving
-persistent-search subscriptions.
+persistent-search subscriptions; :class:`SubscriptionTable` is the one
+subscriber list every notifying backend keeps.
 """
 
 from __future__ import annotations
 
+import itertools
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -23,12 +26,14 @@ from .dit import (
     DitError,
     EntryExists,
     NoSuchEntry,
+    Scope,
     SizeLimitExceeded,
     in_scope,
 )
 from .dn import DN
 from .entry import Entry
 from .executor import CancelToken
+from .filter import Matcher, compile_filter
 from .protocol import (
     AddRequest,
     LdapResult,
@@ -46,6 +51,7 @@ __all__ = [
     "stream_outcome",
     "ChangeType",
     "Subscription",
+    "SubscriptionTable",
     "Backend",
     "DitBackend",
 ]
@@ -116,6 +122,53 @@ class Subscription:
 # Signature of the push callback handed to Backend.subscribe: the backend
 # calls it with (entry, change_type) for every matching change.
 ChangeCallback = Callable[[Entry, int], None]
+
+
+class SubscriptionTable:
+    """The persistent searches open on one backend.
+
+    Each subscription's base is parsed and its filter compiled once, when
+    it is made.  :meth:`notify` pushes outside the table's lock, so a
+    push may cancel its own subscription.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._subs: Dict[int, Tuple[DN, Scope, Matcher, int, ChangeCallback]] = {}
+        self._keys = itertools.count()
+
+    def __len__(self) -> int:
+        return len(self._subs)
+
+    def subscribe(
+        self, req: SearchRequest, push: ChangeCallback, change_types: int
+    ) -> Subscription:
+        try:
+            base = req.base_dn()
+        except ValueError:
+            # Nothing is in scope of a base that does not parse (the
+            # front end refuses one before it gets here).
+            return Subscription(lambda: None)
+        key = next(self._keys)
+        with self._lock:
+            self._subs[key] = (base, req.scope, compile_filter(req.filter), change_types, push)
+        return Subscription(lambda: self._drop(key))
+
+    def _drop(self, key: int) -> None:
+        with self._lock:
+            self._subs.pop(key, None)
+
+    def notify(self, entry: Entry, change: int) -> None:
+        with self._lock:
+            subs = list(self._subs.values())
+        for base, scope, match, change_types, push in subs:
+            if not change_types & change or not in_scope(entry.dn, base, scope):
+                continue
+            # DELETE notifications match on scope only: the entry's final
+            # attribute state is gone, so the filter cannot be applied.
+            if change != ChangeType.DELETE and not match(entry):
+                continue
+            push(entry.copy(), change)
 
 
 class SearchHandle:
@@ -264,8 +317,7 @@ class DitBackend(Backend):
     def __init__(self, dit: Optional[DIT] = None):
         # NB: an empty DIT is falsy (__len__), so test identity, not truth.
         self.dit = dit if dit is not None else DIT()
-        self._subscriptions: Dict[int, Tuple[SearchRequest, int, ChangeCallback]] = {}
-        self._next_sub = 0
+        self._subscriptions = SubscriptionTable()
 
     # -- reads ---------------------------------------------------------------
 
@@ -311,7 +363,7 @@ class DitBackend(Backend):
             return LdapResult(ResultCode.OBJECT_CLASS_VIOLATION, message=str(exc))
         except DitError as exc:
             return LdapResult(ResultCode.OTHER, message=str(exc))
-        self._notify(entry, ChangeType.ADD)
+        self._subscriptions.notify(entry, ChangeType.ADD)
         return LdapResult()
 
     def modify(self, req: ModifyRequest, ctx: RequestContext) -> LdapResult:
@@ -339,7 +391,7 @@ class DitBackend(Backend):
             return LdapResult(ResultCode.OBJECT_CLASS_VIOLATION, message=str(exc))
         except DitError as exc:
             return LdapResult(ResultCode.OTHER, message=str(exc))
-        self._notify(updated, ChangeType.MODIFY)
+        self._subscriptions.notify(updated, ChangeType.MODIFY)
         return LdapResult()
 
     def delete(self, dn: str, ctx: RequestContext) -> LdapResult:
@@ -351,7 +403,7 @@ class DitBackend(Backend):
             return LdapResult(ResultCode.NO_SUCH_OBJECT, matched_dn=dn)
         except DitError as exc:
             return LdapResult(ResultCode.UNWILLING_TO_PERFORM, message=str(exc))
-        self._notify(entry, ChangeType.DELETE)
+        self._subscriptions.notify(entry, ChangeType.DELETE)
         return LdapResult()
 
     # -- subscriptions ----------------------------------------------------------
@@ -363,26 +415,7 @@ class DitBackend(Backend):
         push: ChangeCallback,
         change_types: int = ChangeType.ALL,
     ) -> Subscription:
-        self._next_sub += 1
-        key = self._next_sub
-        self._subscriptions[key] = (req, change_types, push)
-        return Subscription(lambda: self._subscriptions.pop(key, None))
-
-    def _notify(self, entry: Entry, change: int) -> None:
-        for req, change_types, push in list(self._subscriptions.values()):
-            if not change_types & change:
-                continue
-            try:
-                base = req.base_dn()
-            except Exception:
-                continue
-            if not in_scope(entry.dn, base, req.scope):
-                continue
-            # DELETE notifications match on scope only: the entry's final
-            # attribute state is gone, so the filter cannot be applied.
-            if change != ChangeType.DELETE and not req.filter.matches(entry):
-                continue
-            push(entry.copy(), change)
+        return self._subscriptions.subscribe(req, push, change_types)
 
     def subscription_count(self) -> int:
         return len(self._subscriptions)

@@ -35,6 +35,7 @@ __all__ = [
     "GreaterOrEqual",
     "LessOrEqual",
     "Approx",
+    "MAX_FILTER_DEPTH",
     "parse",
     "present",
     "eq",
@@ -49,6 +50,13 @@ Matcher = Callable[[Entry], bool]
 
 class FilterError(ValueError):
     """Raised on malformed filter strings."""
+
+
+# Nesting bound, in filter nodes from the root to the deepest leaf:
+# ``(a=b)`` is 1 deep, ``(!(a=b))`` 2.  Matching, printing and encoding
+# all recurse, so a deeper filter is malformed — in a string here and
+# on the wire in :func:`repro.ldap.protocol.decode_filter`.
+MAX_FILTER_DEPTH = 64
 
 
 # Characters that must be escaped inside filter values (RFC 4515 §3).
@@ -410,27 +418,29 @@ class _Parser:
             self.pos -= 1
             raise self.error(f"expected {ch!r}")
 
-    def parse_filter(self) -> Filter:
+    def parse_filter(self, depth: int = 1) -> Filter:
+        if depth > MAX_FILTER_DEPTH:
+            raise self.error(f"filter nested deeper than {MAX_FILTER_DEPTH} levels")
         self.expect("(")
         ch = self.peek()
         if ch == "&":
             self.take()
-            node: Filter = And(tuple(self.parse_filter_list()))
+            node: Filter = And(tuple(self.parse_filter_list(depth + 1)))
         elif ch == "|":
             self.take()
-            node = Or(tuple(self.parse_filter_list()))
+            node = Or(tuple(self.parse_filter_list(depth + 1)))
         elif ch == "!":
             self.take()
-            node = Not(self.parse_filter())
+            node = Not(self.parse_filter(depth + 1))
         else:
             node = self.parse_item()
         self.expect(")")
         return node
 
-    def parse_filter_list(self) -> List[Filter]:
+    def parse_filter_list(self, depth: int) -> List[Filter]:
         clauses: List[Filter] = []
         while self.peek() == "(":
-            clauses.append(self.parse_filter())
+            clauses.append(self.parse_filter(depth))
         if not clauses:
             raise self.error("empty filter list")
         return clauses

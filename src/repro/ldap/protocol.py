@@ -29,6 +29,7 @@ from .dit import Scope
 from .dn import DN
 from .entry import Entry
 from .filter import (
+    MAX_FILTER_DEPTH,
     And,
     Approx,
     Equality,
@@ -539,7 +540,9 @@ def _decode_ava(body: bytes) -> Tuple[str, str]:
     return attr, value
 
 
-def decode_filter(reader: TlvReader) -> Filter:
+def decode_filter(reader: TlvReader, depth: int = 1) -> Filter:
+    if depth > MAX_FILTER_DEPTH:
+        raise ProtocolError(f"filter nested deeper than {MAX_FILTER_DEPTH} levels")
     tag, body = reader.read()
     if tag.tag_class != ber.TagClass.CONTEXT:
         raise ProtocolError(f"bad filter tag {tag.octet:#04x}")
@@ -548,13 +551,13 @@ def decode_filter(reader: TlvReader) -> Filter:
         clauses: List[Filter] = []
         sub = TlvReader(body)
         while not sub.at_end():
-            clauses.append(decode_filter(sub))
+            clauses.append(decode_filter(sub, depth + 1))
         if not clauses:
             raise ProtocolError("empty AND/OR filter")
         return And(tuple(clauses)) if n == _F_AND else Or(tuple(clauses))
     if n == _F_NOT:
         sub = TlvReader(body)
-        inner = decode_filter(sub)
+        inner = decode_filter(sub, depth + 1)
         sub.expect_end()
         return Not(inner)
     if n == _F_EQ:

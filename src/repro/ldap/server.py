@@ -90,6 +90,15 @@ __all__ = ["LdapServer", "WHOAMI_OID"]
 WHOAMI_OID = "1.3.6.1.4.1.4203.1.11.3"
 VENDOR_NAME = "repro-mds2"
 
+# The response op that answers each request op that has one.
+_RESPONSE_TO = {
+    SearchRequest: SearchResultDone,
+    BindRequest: BindResponse,
+    AddRequest: AddResponse,
+    ModifyRequest: ModifyResponse,
+    DeleteRequest: DeleteResponse,
+}
+
 
 class LdapServer:
     """A transport-agnostic LDAP server.
@@ -224,6 +233,9 @@ class _ServerConnection:
     def _send(self, message: LdapMessage) -> None:
         self._send_raw(encode_message(message))
 
+    def _done(self, msg_id: int, code: int = ResultCode.SUCCESS, message: str = "") -> None:
+        self._send(LdapMessage(msg_id, SearchResultDone(LdapResult(code, message=message))))
+
     def _send_raw(self, data: bytes) -> None:
         try:
             self.conn.send(data)
@@ -283,18 +295,10 @@ class _ServerConnection:
                 self._send_error_for(message, exc)
 
     def _send_error_for(self, message: LdapMessage, exc: Exception) -> None:
-        result = LdapResult(ResultCode.OTHER, message=f"internal error: {exc}")
-        op = message.op
-        if isinstance(op, SearchRequest):
-            self._send(LdapMessage(message.message_id, SearchResultDone(result)))
-        elif isinstance(op, BindRequest):
-            self._send(LdapMessage(message.message_id, BindResponse(result)))
-        elif isinstance(op, AddRequest):
-            self._send(LdapMessage(message.message_id, AddResponse(result)))
-        elif isinstance(op, ModifyRequest):
-            self._send(LdapMessage(message.message_id, ModifyResponse(result)))
-        elif isinstance(op, DeleteRequest):
-            self._send(LdapMessage(message.message_id, DeleteResponse(result)))
+        response = _RESPONSE_TO.get(type(message.op))
+        if response is not None:
+            result = LdapResult(ResultCode.OTHER, message=f"internal error: {exc}")
+            self._send(LdapMessage(message.message_id, response(result)))
 
     # -- dispatch ----------------------------------------------------------
 
@@ -364,26 +368,13 @@ class _ServerConnection:
             )
         except AuthError as exc:
             self.identity = ANONYMOUS
-            self.server.observe_result(
-                "bind", ResultCode.INVALID_CREDENTIALS, started
-            )
-            self._send(
-                LdapMessage(
-                    msg_id,
-                    BindResponse(
-                        LdapResult(ResultCode.INVALID_CREDENTIALS, message=str(exc))
-                    ),
-                )
-            )
+            code = ResultCode.INVALID_CREDENTIALS
+            self.server.observe_result("bind", code, started)
+            self._send(LdapMessage(msg_id, BindResponse(LdapResult(code, message=str(exc)))))
             return
         self.identity = outcome.identity
         self.server.observe_result("bind", ResultCode.SUCCESS, started)
-        self._send(
-            LdapMessage(
-                msg_id,
-                BindResponse(LdapResult(), outcome.server_credentials),
-            )
-        )
+        self._send(LdapMessage(msg_id, BindResponse(LdapResult(), outcome.server_credentials)))
 
     def _handle_write(
         self,
@@ -406,26 +397,11 @@ class _ServerConnection:
 
     def _handle_extended(self, msg_id: int, op: ExtendedRequest) -> None:
         if op.oid == WHOAMI_OID:
-            self._send(
-                LdapMessage(
-                    msg_id,
-                    ExtendedResponse(
-                        LdapResult(), op.oid, self.identity.encode("utf-8")
-                    ),
-                )
-            )
-            return
-        self._send(
-            LdapMessage(
-                msg_id,
-                ExtendedResponse(
-                    LdapResult(
-                        ResultCode.PROTOCOL_ERROR,
-                        message=f"unsupported extended op {op.oid}",
-                    )
-                ),
-            )
-        )
+            response = ExtendedResponse(LdapResult(), op.oid, self.identity.encode("utf-8"))
+        else:
+            unsupported = f"unsupported extended op {op.oid}"
+            response = ExtendedResponse(LdapResult(ResultCode.PROTOCOL_ERROR, message=unsupported))
+        self._send(LdapMessage(msg_id, response))
 
     # -- search ---------------------------------------------------------------
 
@@ -558,17 +534,7 @@ class _ServerConnection:
             record.token.cancel("queue full")
             self.server._search_rejected.inc()
             self.server.observe_result("search", ResultCode.BUSY, started)
-            self._send(
-                LdapMessage(
-                    msg_id,
-                    SearchResultDone(
-                        LdapResult(
-                            ResultCode.BUSY,
-                            message="server busy: request queue full",
-                        )
-                    ),
-                )
-            )
+            self._done(msg_id, ResultCode.BUSY, "server busy: request queue full")
 
     def _run_search_safely(
         self, msg_id: int, req: SearchRequest, ctx: RequestContext, started: float
@@ -581,16 +547,7 @@ class _ServerConnection:
             if self._take_inflight(msg_id) is None:
                 return
             self.server.observe_result("search", ResultCode.OTHER, started)
-            self._send(
-                LdapMessage(
-                    msg_id,
-                    SearchResultDone(
-                        LdapResult(
-                            ResultCode.OTHER, message=f"internal error: {exc}"
-                        )
-                    ),
-                )
-            )
+            self._done(msg_id, ResultCode.OTHER, f"internal error: {exc}")
 
     def _deadline_expired(self, msg_id: int) -> None:
         record = self._take_inflight(msg_id)
@@ -598,20 +555,9 @@ class _ServerConnection:
             return  # completed (or was abandoned) just in time
         record.token.cancel("time limit exceeded")
         self.server._search_expired.inc()
-        self.server.observe_result(
-            "search", ResultCode.TIME_LIMIT_EXCEEDED, record.started
-        )
-        self._send(
-            LdapMessage(
-                msg_id,
-                SearchResultDone(
-                    LdapResult(
-                        ResultCode.TIME_LIMIT_EXCEEDED,
-                        message="search exceeded its time limit",
-                    )
-                ),
-            )
-        )
+        code = ResultCode.TIME_LIMIT_EXCEEDED
+        self.server.observe_result("search", code, record.started)
+        self._done(msg_id, code, "search exceeded its time limit")
 
     def _execute_search(
         self,
@@ -644,25 +590,26 @@ class _ServerConnection:
                     )
                 )
             self.server.observe_result("search", ResultCode.SUCCESS, started)
-            self._send(LdapMessage(msg_id, SearchResultDone(LdapResult())))
+            self._done(msg_id)
             return
         try:
             psc = PersistentSearchControl.find(ctx.controls)
         except Exception:
+            psc, refusal = None, "malformed persistent search control"
+        else:
+            refusal = None
+            if psc is not None:
+                # Refused before anything runs or is subscribed: a
+                # changes-only search would never consult the backend.
+                try:
+                    req.base_dn()
+                except ValueError:
+                    refusal = "bad base DN"
+        if refusal is not None:
             if self._take_inflight(msg_id) is None:
                 return
             self.server.observe_result("search", ResultCode.PROTOCOL_ERROR, started)
-            self._send(
-                LdapMessage(
-                    msg_id,
-                    SearchResultDone(
-                        LdapResult(
-                            ResultCode.PROTOCOL_ERROR,
-                            message="malformed persistent search control",
-                        )
-                    ),
-                )
-            )
+            self._done(msg_id, ResultCode.PROTOCOL_ERROR, refusal)
             return
 
         span = None
@@ -695,16 +642,10 @@ class _ServerConnection:
                     req, ctx, self._pusher(msg_id, req, psc), psc.change_types
                 )
                 if sub is None:
-                    self._send(
-                        LdapMessage(
-                            msg_id,
-                            SearchResultDone(
-                                LdapResult(
-                                    ResultCode.UNWILLING_TO_PERFORM,
-                                    message="subscriptions not supported by backend",
-                                )
-                            ),
-                        )
+                    self._done(
+                        msg_id,
+                        ResultCode.UNWILLING_TO_PERFORM,
+                        "subscriptions not supported by backend",
                     )
                     return
                 with self._ops_lock:
@@ -718,7 +659,7 @@ class _ServerConnection:
                         sub.cancel()
                 # No SearchResultDone: the search stays open until Abandon.
                 return
-            self._send(LdapMessage(msg_id, SearchResultDone(LdapResult())))
+            self._done(msg_id)
 
         def conclude(code: int, sent: int) -> None:
             self.server.observe_result("search", code, started)
@@ -751,14 +692,7 @@ class _ServerConnection:
                 return False
             if self._take_inflight(msg_id) is not None:
                 conclude(ResultCode.SIZE_LIMIT_EXCEEDED, sent_box[0])
-                self._send(
-                    LdapMessage(
-                        msg_id,
-                        SearchResultDone(
-                            LdapResult(ResultCode.SIZE_LIMIT_EXCEEDED)
-                        ),
-                    )
-                )
+                self._done(msg_id, ResultCode.SIZE_LIMIT_EXCEEDED)
                 token.cancel("size limit satisfied")
             return True
 

@@ -1,10 +1,11 @@
 """A minimal HTTP/1.0 responder multiplexed on a :class:`Reactor`.
 
 The Prometheus exposition endpoint (:mod:`repro.obs.expo`) needs plain
-HTTP, but the reactor's stream connections speak the 4-byte
-length-framed LDAP wire format — so this module registers its own raw
-sockets on the same event loop: accept, buffer until the header
-terminator, dispatch one GET, write the response, close.  One loop
+HTTP.  The reactor's stream connections deliver LDAPMessages, each
+delimited by its own BER length, and HTTP is not BER — so this module
+registers its own raw sockets on the same event loop: accept, buffer
+until the header terminator, dispatch one GET, write the response,
+close.  One loop
 thread therefore carries both the LDAP service traffic and its metrics
 scrapes, which is the point: no extra thread pool appears just because
 the server is being watched.

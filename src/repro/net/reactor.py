@@ -7,12 +7,14 @@ buffer state.  That is what lets one server hold thousands of
 concurrent clients, the multi-user regime where the MDS performance
 studies measured the original implementation falling over.
 
-Messages are framed with a 4-byte big-endian length prefix so the
-message-preserving :class:`~repro.net.transport.Connection` contract
-holds over a byte stream; datagrams map onto UDP.  The deterministic
-simulator (:mod:`repro.net.simnet`) implements the same ``Connection``
-and ``Endpoint`` contracts, so servers and clients cannot tell which
-of the two they are speaking over.
+A stream connection carries bare RFC 4511 LDAPMessages, as any LDAP
+client sends them: each is one BER SEQUENCE whose definite length says
+where it ends, so the message-preserving
+:class:`~repro.net.transport.Connection` contract holds over a byte
+stream with no framing of our own; datagrams map onto UDP.  The
+deterministic simulator (:mod:`repro.net.simnet`) implements the same
+``Connection`` and ``Endpoint`` contracts, so servers and clients
+cannot tell which of the two they are speaking over.
 
 Threading rules:
 
@@ -37,7 +39,6 @@ import collections
 import logging
 import selectors
 import socket
-import struct
 import threading
 import weakref
 from typing import Callable, Deque, Dict, List, Optional
@@ -55,7 +56,6 @@ __all__ = ["Reactor", "ReactorConnection", "ReactorEndpoint"]
 
 log = logging.getLogger(__name__)
 
-_HEADER = struct.Struct("!I")
 MAX_FRAME = 64 * 1024 * 1024  # defensive bound on frame size
 
 _READ = selectors.EVENT_READ
@@ -67,6 +67,28 @@ _RECV_CHUNK = 128 * 1024
 # every other connection on the loop.
 _RECV_BURST = 32
 _ACCEPT_BURST = 64
+
+
+def _frame_end(buf: "bytes | bytearray | memoryview", start: int) -> int:
+    """End of the LDAPMessage at *start*: a SEQUENCE (``0x30``) with a
+    definite length, short form or 1-4 length octets (X.690 §8.1.3).
+    0 while its header is incomplete; -1 for any other header or a
+    length above :data:`MAX_FRAME`.  The decoder validates the rest."""
+    have = len(buf) - start
+    if have < 2:
+        return -1 if have == 1 and buf[start] != 0x30 else 0
+    if buf[start] != 0x30:
+        return -1
+    first = buf[start + 1]
+    if first < 0x80:
+        return start + 2 + first
+    width = first & 0x7F
+    if not 1 <= width <= 4:
+        return -1
+    if have < 2 + width:
+        return 0
+    length = int.from_bytes(buf[start + 2 : start + 2 + width], "big")
+    return start + 2 + width + length if length <= MAX_FRAME else -1
 
 
 class Reactor:
@@ -267,7 +289,6 @@ class ReactorConnection:
             )
         if self._closed:
             raise ConnectionClosed(f"connection to {self._peer} closed")
-        data = _HEADER.pack(len(message)) + message
         need_arm = False
         try:
             with self._out_lock:
@@ -277,15 +298,15 @@ class ReactorConnection:
                     # Hot path: the buffer is empty, so ordering allows
                     # writing from this thread without a loop round trip.
                     try:
-                        sent = self._sock.send(data)
+                        sent = self._sock.send(message)
                     except (BlockingIOError, InterruptedError):
                         sent = 0
-                    if sent < len(data):
-                        self._out.append(memoryview(data)[sent:])
+                    if sent < len(message):
+                        self._out.append(memoryview(message)[sent:])
                         need_arm = not self._write_armed
                         self._write_armed = True
                 else:
-                    self._out.append(memoryview(data))
+                    self._out.append(memoryview(message))
                     need_arm = not self._write_armed
                     self._write_armed = True
         except OSError as exc:
@@ -381,7 +402,6 @@ class ReactorConnection:
             for _ in range(_RECV_BURST):
                 chunk = self._sock.recv(_RECV_CHUNK)
                 if not chunk:
-                    self._drain_rbuf()
                     self._mark_closed()
                     return
                 self._ingest(chunk)
@@ -409,15 +429,14 @@ class ReactorConnection:
         view = memoryview(chunk)
         total = len(chunk)
         offset = 0
-        while total - offset >= _HEADER.size:
-            (length,) = _HEADER.unpack_from(view, offset)
-            if length > MAX_FRAME:
+        while offset < total:
+            end = _frame_end(view, offset)
+            if end < 0:
                 self._mark_closed()
                 return
-            end = offset + _HEADER.size + length
-            if end > total:
+            if end == 0 or end > total:
                 break
-            self._deliver(view[offset + _HEADER.size : end], length)
+            self._deliver(view[offset:end])
             if self._closed:
                 return  # the receiver hung up: the rest is not for it
             offset = end
@@ -427,24 +446,21 @@ class ReactorConnection:
     def _drain_rbuf(self) -> None:
         buf = self._rbuf
         while not self._closed:
-            if len(buf) < _HEADER.size:
-                return
-            (length,) = _HEADER.unpack_from(buf)
-            if length > MAX_FRAME:
+            end = _frame_end(buf, 0)
+            if end < 0:
                 self._mark_closed()
                 break
-            end = _HEADER.size + length
-            if len(buf) < end:
+            if end == 0 or end > len(buf):
                 return
-            payload = bytes(buf[_HEADER.size:end])
+            payload = bytes(buf[:end])
             del buf[:end]
-            self._deliver(payload, length)
+            self._deliver(payload)
         buf.clear()  # closed: what is buffered is for nobody
 
-    def _deliver(self, payload: "bytes | memoryview", length: int) -> None:
+    def _deliver(self, payload: "bytes | memoryview") -> None:
         if self._metrics is not None:
             self._frames_in.inc()
-            self._bytes_in.inc(length)
+            self._bytes_in.inc(len(payload))
         with self._deliver_lock:
             with self._state_lock:
                 receiver = self._receiver

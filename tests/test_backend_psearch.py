@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.giis.core import GiisBackend
+from repro.grip.messages import GrrpMessage
 from repro.gris.core import GrisBackend
+from repro.ldap import backend as backend_module
 from repro.ldap.backend import (
     Backend,
     ChangeType,
@@ -145,6 +147,112 @@ class TestMalformedBaseDn:
         out = client.search(self.REQ.base, check=False)
         assert out.result.code == ResultCode.PROTOCOL_ERROR
         assert out.result.message == "bad base DN"
+
+
+def _open_subscriptions(b) -> int:
+    if isinstance(b, GrisBackend):
+        return b.subscription_count()
+    return len(b._subscriptions)
+
+
+class TestOneSubscriptionTable:
+    """DIT and GIIS keep their persistent searches in one
+    ``SubscriptionTable``; a base that does not parse is refused at the
+    front end and never breaks anyone else's notifications."""
+
+    BAD = "===bad,,="
+
+    def _registration(self, n: int) -> GrrpMessage:
+        return GrrpMessage(
+            service_url=f"ldap://gris{n}:2135/",
+            timestamp=0.0,
+            valid_until=60.0,
+            metadata={"suffix": f"hn=r{n}, o=Grid"},
+        )
+
+    def test_grrp_intake_after_a_subscription_with_a_bad_base(self):
+        giis = GiisBackend("o=Grid", clock=Simulator())
+        giis.subscribe(SearchRequest(base=self.BAD), CTX, lambda e, c: None)
+        seen = []
+        giis.subscribe(
+            SearchRequest(base="o=Grid", scope=Scope.SUBTREE),
+            CTX,
+            lambda e, c: seen.append((str(e.first("url")), c)),
+        )
+        assert giis.apply_grrp(self._registration(1)).ok
+        add = AddRequest.from_entry(self._registration(2).to_entry("o=Grid"))
+        assert giis.add(add, CTX).ok
+        assert seen == [
+            ("ldap://gris1:2135/", ChangeType.ADD),
+            ("ldap://gris2:2135/", ChangeType.ADD),
+        ]
+
+    def test_base_parsed_and_filter_compiled_once_per_subscription(self, monkeypatch):
+        calls = {"parse": 0, "compile": 0}
+        real_parse, real_compile = SearchRequest.base_dn, backend_module.compile_filter
+
+        def counting_parse(req):
+            calls["parse"] += 1
+            return real_parse(req)
+
+        def counting_compile(f):
+            calls["compile"] += 1
+            return real_compile(f)
+
+        monkeypatch.setattr(SearchRequest, "base_dn", counting_parse)
+        monkeypatch.setattr(backend_module, "compile_filter", counting_compile)
+        b = backend()
+        seen = []
+        b.subscribe(
+            SearchRequest(base="o=Grid", filter=parse_filter("(hn=*)")),
+            CTX,
+            lambda e, c: seen.append(c),
+        )
+        for i in range(5):
+            entry = Entry(f"hn=n{i}, o=Grid", objectclass="computer", hn=f"n{i}")
+            assert b.add(AddRequest.from_entry(entry), CTX).ok
+        assert seen == [ChangeType.ADD] * 5
+        assert calls == {"parse": 1, "compile": 1}
+
+    def test_a_push_may_cancel_its_own_subscription(self):
+        b = backend()
+        seen = []
+
+        def push(entry, change):
+            seen.append(change)
+            sub.cancel()
+
+        sub = b.subscribe(SearchRequest(base="o=Grid"), CTX, push)
+        for name in ("x", "y"):
+            entry = Entry(f"hn={name}, o=Grid", objectclass="computer", hn=name)
+            assert b.add(AddRequest.from_entry(entry), CTX).ok
+        assert seen == [ChangeType.ADD] and b.subscription_count() == 0
+
+    @pytest.mark.parametrize("changes_only", [True, False], ids=["changes-only", "initial"])
+    @pytest.mark.parametrize("kind", ["dit", "gris", "giis-chain"])
+    def test_persistent_search_with_a_bad_base_is_a_protocol_error(
+        self, kind, changes_only
+    ):
+        sim = Simulator(seed=7)
+        net = SimNetwork(sim)
+        b = _BACKENDS[kind](sim)
+        server = LdapServer(b, clock=sim)
+        net.add_node("server").listen(389, server.handle_connection)
+        client = LdapClient(
+            net.add_node("client").connect(("server", 389)), driver=sim.step
+        )
+        done = []
+        psc = PersistentSearchControl(changes_only=changes_only)
+        client.search_async(
+            SearchRequest(base=self.BAD, scope=Scope.SUBTREE),
+            lambda out, _err: done.append(out.result),
+            controls=(psc.to_control(),),
+        )
+        sim.run_until(sim.now() + 5.0)
+        assert [(r.code, r.message) for r in done] == [
+            (ResultCode.PROTOCOL_ERROR, "bad base DN")
+        ]
+        assert _open_subscriptions(b) == 0
 
 
 class TestSubscriptionSemantics:

@@ -22,6 +22,8 @@ from repro.net import ReactorEndpoint
 from repro.net.clock import Clock, TimerHandle
 from repro.obs.metrics import MetricsRegistry
 
+from .wire import ber_seq
+
 import time
 
 
@@ -274,7 +276,7 @@ class TestAcceptLoopRobustness:
             accepted.append(conn)
             if len(accepted) == 1:
                 raise RuntimeError("bad handshake")
-            conn.set_receiver(lambda m: conn.send(b"ok:" + m))
+            conn.set_receiver(lambda m: conn.send(ber_seq(b"ok:" + m)))
 
         port = ep.listen(0, handler)
         first = ep.connect(("127.0.0.1", port))
@@ -287,8 +289,8 @@ class TestAcceptLoopRobustness:
         second = ep.connect(("127.0.0.1", port))
         got = []
         second.set_receiver(got.append)
-        second.send(b"hi")
-        assert wait_for(lambda: got == [b"ok:hi"])
+        second.send(ber_seq(b"hi"))
+        assert wait_for(lambda: got == [ber_seq(b"ok:" + ber_seq(b"hi"))])
         first.close()
         second.close()
         ep.close()

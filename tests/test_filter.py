@@ -9,6 +9,7 @@ from repro.ldap.filter import (
     Approx,
     Equality,
     FilterError,
+    MAX_FILTER_DEPTH,
     GreaterOrEqual,
     LessOrEqual,
     Not,
@@ -91,6 +92,16 @@ class TestParsing:
     def test_malformed(self, bad):
         with pytest.raises(FilterError):
             parse(bad)
+
+    def test_nesting_bound(self):
+        at = "(!" * (MAX_FILTER_DEPTH - 1) + "(a=b)" + ")" * (MAX_FILTER_DEPTH - 1)
+        assert str(parse(at)) == at
+        with pytest.raises(FilterError, match="nested deeper"):
+            parse("(!" + at + ")")
+        with pytest.raises(FilterError, match="nested deeper"):
+            parse("(&" * MAX_FILTER_DEPTH + "(a=b)" + ")" * MAX_FILTER_DEPTH)
+        with pytest.raises(FilterError, match="nested deeper"):
+            parse("(!" * 5000 + "(a=b)" + ")" * 5000)
 
 
 class TestEvaluation:

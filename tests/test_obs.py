@@ -47,6 +47,8 @@ from repro.obs import (
     Tracer,
 )
 
+from .wire import ber_seq
+
 CTX = RequestContext()
 
 
@@ -437,7 +439,7 @@ class TestReceiverSwapOrdering:
 
             def pump():
                 for i in range(total):
-                    sc.send(i.to_bytes(4, "big"))
+                    sc.send(ber_seq(i.to_bytes(4, "big")))
                     time.sleep(0.0003)
 
             sender = threading.Thread(target=pump, daemon=True)
@@ -451,7 +453,7 @@ class TestReceiverSwapOrdering:
                     # widen the race window: the loop thread is
                     # delivering newer frames while we drain the backlog
                     time.sleep(0.0005)
-                got.append(int.from_bytes(raw, "big"))
+                got.append(int.from_bytes(raw[2:], "big"))
 
             conn.set_receiver(slow_receiver)
             sender.join(10.0)
@@ -471,12 +473,12 @@ class TestReceiverSwapOrdering:
             sc = server_conns[0]
             first, second = [], []
             conn.set_receiver(first.append)
-            sc.send(b"a")
-            assert wait_for(lambda: first == [b"a"])
+            sc.send(ber_seq(b"a"))
+            assert wait_for(lambda: first == [ber_seq(b"a")])
             conn.set_receiver(second.append)
-            sc.send(b"b")
-            assert wait_for(lambda: second == [b"b"])
-            assert first == [b"a"]
+            sc.send(ber_seq(b"b"))
+            assert wait_for(lambda: second == [ber_seq(b"b")])
+            assert first == [ber_seq(b"a")]
         finally:
             endpoint.close()
 

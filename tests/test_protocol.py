@@ -5,10 +5,22 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.ldap.ber import TlvReader
-from repro.ldap.dit import Scope
+from repro.ldap import ber
+from repro.ldap.backend import DitBackend
+from repro.ldap.ber import Tag, TlvReader
+from repro.ldap.client import LdapClient
+from repro.ldap.dit import DIT, Scope
 from repro.ldap.entry import Entry
-from repro.ldap.filter import parse as parse_filter
+from repro.ldap.filter import (
+    MAX_FILTER_DEPTH,
+    And,
+    Equality,
+    Filter,
+    Not,
+    Or,
+    Presence,
+    parse as parse_filter,
+)
 from repro.ldap.protocol import (
     AbandonRequest,
     AddRequest,
@@ -36,6 +48,9 @@ from repro.ldap.protocol import (
     encode_filter,
     encode_message,
 )
+from repro.ldap.server import LdapServer
+from repro.net import SimNetwork, Simulator
+from repro.obs import RingSink, Tracer
 
 
 def roundtrip(msg: LdapMessage) -> LdapMessage:
@@ -180,9 +195,6 @@ class TestFilterCodec:
         assert r.at_end()
 
     def test_empty_and_rejected(self):
-        import repro.ldap.ber as ber
-        from repro.ldap.ber import Tag
-
         blob = ber.encode_tlv(Tag.context(0, True), b"")
         with pytest.raises(ProtocolError, match="empty"):
             decode_filter(TlvReader(blob))
@@ -198,6 +210,81 @@ BAD_ENUM = bytes.fromhex(
     "3032020107632d04066f3d477269640a01aa0a0100020100020100010100"
     "a012a3066d0161040162a40804016330038001643000"
 )
+
+
+def nested(depth: int) -> Filter:
+    """``(!(!...(a=b)...))``, *depth* filter nodes deep, built without
+    recursion."""
+    f: Filter = Equality("a", "b")
+    for _ in range(depth - 1):
+        f = Not(f)
+    return f
+
+
+def deep_search_frame(depth: int, message_id: int = 1) -> bytes:
+    """A SearchRequest for ``o=Grid`` whose filter is :func:`nested`
+    *depth* deep, encoded by hand: our encoder recurses, and the point
+    is a frame it could never have produced."""
+    filt = encode_filter(Equality("a", "b"))
+    for _ in range(depth - 1):
+        filt = ber.encode_tlv(Tag.context(2, True), filt)
+    body = (
+        ber.encode_octet_string("o=Grid")
+        + ber.encode_enumerated(2)
+        + ber.encode_enumerated(0)
+        + ber.encode_integer(0)
+        + ber.encode_integer(0)
+        + ber.encode_boolean(False)
+        + filt
+        + ber.encode_sequence(b"")
+    )
+    op = ber.encode_tlv(Tag.application(SearchRequest.APP_TAG), body)
+    return ber.encode_sequence(ber.encode_integer(message_id) + op)
+
+
+class TestFilterNestingBound:
+    """A filter deeper than ``MAX_FILTER_DEPTH`` is malformed: refused as
+    a ProtocolError on the wire, never a RecursionError or its text."""
+
+    def test_at_the_bound_round_trips_and_one_over_is_refused(self):
+        ok = LdapMessage(3, SearchRequest(base="o=Grid", filter=nested(MAX_FILTER_DEPTH)))
+        assert roundtrip(ok) == ok
+        assert decode_message(deep_search_frame(MAX_FILTER_DEPTH, 3)) == ok
+        over = encode_message(
+            LdapMessage(3, SearchRequest(base="o=Grid", filter=nested(MAX_FILTER_DEPTH + 1)))
+        )
+        with pytest.raises(ProtocolError, match="nested deeper"):
+            decode_message(over)
+
+    def test_and_or_count_as_levels_too(self):
+        f: Filter = Equality("a", "b")
+        for level in range(MAX_FILTER_DEPTH):
+            f = And((f, Presence("x"))) if level % 2 else Or((Presence("y"), f))
+        with pytest.raises(ProtocolError, match="nested deeper"):
+            decode_filter(TlvReader(encode_filter(f)))
+        assert decode_filter(TlvReader(encode_filter(f.clauses[0]))) == f.clauses[0]
+
+    def test_two_thousand_levels_raise_protocol_error(self):
+        with pytest.raises(ProtocolError, match="nested deeper"):
+            decode_message(deep_search_frame(2000))
+
+    def test_a_deep_search_through_a_tracing_server_leaks_no_exception_text(self):
+        sim = Simulator(seed=1)
+        net = SimNetwork(sim)
+        dit = DIT()
+        dit.add(Entry("o=Grid", objectclass="organization", o="Grid"))
+        tracer = Tracer(sim.now, seed=1)
+        sink = RingSink()
+        tracer.add_sink(sink)
+        server = LdapServer(DitBackend(dit), clock=sim, tracer=tracer)
+        net.add_node("server").listen(389, server.handle_connection)
+        client = LdapClient(net.add_node("client").connect(("server", 389)), driver=sim.step)
+        out = client.search("o=Grid", filter=nested(451), check=False)
+        assert not out.result.ok
+        assert "recursion" not in out.result.message
+        assert "internal error" not in out.result.message
+        assert server.metrics.counter("ldap.protocol.errors").value == 1
+        assert sink.spans("ldap.search") == []
 
 
 class TestErrors:
@@ -243,9 +330,6 @@ class TestErrors:
             decode_message(data[:5])
 
     def test_unknown_app_tag(self):
-        import repro.ldap.ber as ber
-        from repro.ldap.ber import Tag
-
         body = ber.encode_integer(1) + ber.encode_tlv(Tag.application(30), b"")
         with pytest.raises(ProtocolError, match="unsupported protocol op"):
             decode_message(ber.encode_sequence(body))

@@ -1,12 +1,12 @@
 """The real-wire transport: Endpoint/Connection semantics over loopback,
 then the reactor's framing contract driven byte by byte from a raw
-socket — coalesced frames, frames split at every offset, oversized
-headers, owned-vs-borrowed payloads, short writes — and what happens to
-the bytes behind a frame whose receiver hung up or blew up.
+socket — a stream of bare BER-delimited LDAPMessages: coalesced frames,
+frames split at every offset (inside the tag and length octets too),
+lengths it refuses, owned-vs-borrowed payloads, short writes — and what
+happens to the bytes behind a frame whose receiver hung up or blew up.
 """
 
 import socket
-import struct
 import threading
 import time
 
@@ -29,7 +29,8 @@ from repro.net.reactor import MAX_FRAME
 from repro.net.transport import ConnectionClosed
 from repro.obs.metrics import MetricsRegistry
 
-from .test_protocol import BAD_ENUM, BAD_UTF8
+from .test_protocol import BAD_ENUM, BAD_UTF8, deep_search_frame
+from .wire import ber_seq
 
 
 @pytest.fixture
@@ -48,8 +49,8 @@ def wait_for(predicate, timeout=5.0):
     return False
 
 
-def frame(payload: bytes) -> bytes:
-    return struct.pack("!I", len(payload)) + payload
+# A long-form length one past the bound, with nothing after it yet.
+OVERSIZED = b"\x30\x84" + (MAX_FRAME + 1).to_bytes(4, "big")
 
 
 def dial_raw(port: int) -> socket.socket:
@@ -75,21 +76,21 @@ def read_to_eof(sock: socket.socket) -> bytes:
 class TestEndpoint:
     def test_echo(self, endpoint):
         def handler(conn):
-            conn.set_receiver(lambda m: conn.send(b"echo:" + m))
+            conn.set_receiver(lambda m: conn.send(ber_seq(b"echo:" + m)))
 
         port = endpoint.listen(0, handler)
         conn = endpoint.connect(("127.0.0.1", port))
         got = []
         conn.set_receiver(got.append)
-        conn.send(b"hi")
-        assert wait_for(lambda: got == [b"echo:hi"])
+        conn.send(ber_seq(b"hi"))
+        assert wait_for(lambda: got == [ber_seq(b"echo:" + ber_seq(b"hi"))])
         conn.close()
 
     def test_framing_preserves_boundaries(self, endpoint):
         got = []
         port = endpoint.listen(0, lambda c: c.set_receiver(got.append))
         conn = endpoint.connect(("127.0.0.1", port))
-        msgs = [bytes([i]) * (i * 100 + 1) for i in range(20)]
+        msgs = [ber_seq(bytes([i]) * (i * 100 + 1)) for i in range(20)]
         for m in msgs:
             conn.send(m)
         assert wait_for(lambda: len(got) == 20)
@@ -100,7 +101,7 @@ class TestEndpoint:
         got = []
         port = endpoint.listen(0, lambda c: c.set_receiver(got.append))
         conn = endpoint.connect(("127.0.0.1", port))
-        big = b"x" * (2 * 1024 * 1024)
+        big = ber_seq(b"x" * (2 * 1024 * 1024))
         conn.send(big)
         assert wait_for(lambda: got and len(got[0]) == len(big))
         conn.close()
@@ -124,18 +125,18 @@ class TestEndpoint:
         conn = endpoint.connect(("127.0.0.1", port))
         conn.close()
         with pytest.raises(ConnectionClosed):
-            conn.send(b"x")
+            conn.send(ber_seq(b"x"))
 
     def test_backlog_before_receiver(self, endpoint):
         server_conns = []
         port = endpoint.listen(0, server_conns.append)
         conn = endpoint.connect(("127.0.0.1", port))
-        conn.send(b"early")
+        conn.send(ber_seq(b"early"))
         assert wait_for(lambda: bool(server_conns))
         time.sleep(0.05)  # let the frame arrive before installing receiver
         got = []
         server_conns[0].set_receiver(got.append)
-        assert wait_for(lambda: got == [b"early"])
+        assert wait_for(lambda: got == [ber_seq(b"early")])
         conn.close()
 
     def test_many_concurrent_connections(self, endpoint):
@@ -149,7 +150,7 @@ class TestEndpoint:
             c = endpoint.connect(("127.0.0.1", port))
             got = []
             c.set_receiver(got.append)
-            c.send(f"msg{i}".encode())
+            c.send(ber_seq(f"msg{i}".encode()))
             wait_for(lambda: got)
             results[i] = got[0] if got else None
             c.close()
@@ -159,7 +160,7 @@ class TestEndpoint:
             t.start()
         for t in threads:
             t.join(10.0)
-        assert all(results[i] == f"MSG{i}".upper().encode() for i in range(10))
+        assert all(results[i] == ber_seq(f"MSG{i}".encode()) for i in range(10))
 
     def test_udp_datagrams(self, endpoint):
         got = []
@@ -186,29 +187,32 @@ class TestFraming:
         raw, conn = accepted
         got = []
         conn.set_receiver(lambda m: got.append(bytes(m)))
-        msgs = [bytes([i]) * (i * 7) for i in range(20)]  # first one empty
-        raw.sendall(b"".join(frame(m) for m in msgs))
+        # first one empty; short and long (1- and 2-octet) length forms
+        msgs = [ber_seq(bytes([i]) * (i * i * 7)) for i in range(20)]
+        raw.sendall(b"".join(msgs))
         assert wait_for(lambda: len(got) == 20)
         assert got == msgs
 
     def test_one_frame_a_byte_at_a_time(self, accepted):
-        """Split at every offset, including inside the 4-byte header."""
+        """Split at every offset, including inside the tag and the
+        long-form length octets."""
         raw, conn = accepted
         got = []
         conn.set_receiver(lambda m: got.append(bytes(m)))
-        wire = frame(b"abcdefgh") + frame(b"tail")
+        wire = ber_seq(b"abcdefgh" * 25) + ber_seq(b"tail")
+        assert wire[:3] == b"\x30\x81\xc8"
         for i in range(len(wire)):
             raw.sendall(wire[i : i + 1])
             time.sleep(0.002)  # one byte per segment, one recv each
         assert wait_for(lambda: len(got) == 2)
-        assert got == [b"abcdefgh", b"tail"]
+        assert got == [ber_seq(b"abcdefgh" * 25), ber_seq(b"tail")]
         assert not conn._rbuf
 
     def test_oversized_header_closes_with_nothing_delivered(self, accepted):
         raw, conn = accepted
         got = []
         conn.set_receiver(got.append)
-        raw.sendall(struct.pack("!I", MAX_FRAME + 1) + b"x" * 64)
+        raw.sendall(OVERSIZED + b"x" * 64)
         assert read_to_eof(raw) == b""
         assert conn.closed
         assert got == []
@@ -219,24 +223,49 @@ class TestFraming:
         raw, conn = accepted
         got = []
         conn.set_receiver(lambda m: got.append(bytes(m)))
-        first = frame(b"first")
-        raw.sendall(first[:2])
-        assert wait_for(lambda: len(conn._rbuf) == 2)
-        raw.sendall(first[2:] + struct.pack("!I", MAX_FRAME + 1) + b"x" * 64)
+        first = ber_seq(b"first")
+        raw.sendall(first[:1])
+        assert wait_for(lambda: len(conn._rbuf) == 1)
+        raw.sendall(first[1:] + OVERSIZED + b"x" * 64)
         assert read_to_eof(raw) == b""
-        assert got == [b"first"]
+        assert got == [ber_seq(b"first")]
+        assert not conn._rbuf
+
+    @pytest.mark.parametrize("partial_first", [False, True], ids=["direct", "reassembled"])
+    @pytest.mark.parametrize(
+        "header",
+        [
+            pytest.param(b"\x30\x80", id="indefinite-length"),
+            pytest.param(b"\x30\x85\x00\x00\x00\x00\x05", id="five-length-octets"),
+            pytest.param(b"\x00\x00\x00\x05", id="not-a-sequence"),
+        ],
+    )
+    def test_header_we_do_not_frame_closes_with_nothing_delivered(
+        self, accepted, header, partial_first
+    ):
+        raw, conn = accepted
+        got = []
+        conn.set_receiver(lambda m: got.append(bytes(m)))
+        first = ber_seq(b"first") if partial_first else b""
+        if first:
+            raw.sendall(first[:3])
+            assert wait_for(lambda: len(conn._rbuf) == 3)
+        raw.sendall(first[3:] + header + b"x" * 5 + b"\x00\x00" + ber_seq(b"after"))
+        assert read_to_eof(raw) == b""
+        assert conn.closed
+        assert got == ([ber_seq(b"first")] if first else [])
         assert not conn._rbuf
 
     def test_backlogged_frame_is_owned_and_a_live_one_is_a_view(self, accepted):
         raw, conn = accepted
-        raw.sendall(frame(b"early"))
+        raw.sendall(ber_seq(b"early"))
         assert wait_for(lambda: bool(conn._inbox))
         got = []
         conn.set_receiver(got.append)
-        raw.sendall(frame(b"live"))
+        raw.sendall(ber_seq(b"live"))
         assert wait_for(lambda: len(got) == 2)
-        assert type(got[0]) is bytes and got[0] == b"early"
-        assert type(got[1]) is memoryview and got[1] == b"live"
+        assert type(got[0]) is bytes and got[0] == ber_seq(b"early")
+        assert type(got[1]) is memoryview and got[1] == ber_seq(b"live")
 
     def test_short_write_arrives_intact_and_in_order(self, endpoint):
         """A 2 MB frame to a reader that stalls: the remainder waits in
@@ -255,12 +284,12 @@ class TestFraming:
             reader.settimeout(10.0)
             # Fixed small buffers at both ends, or loopback swallows 2 MB whole.
             conn._sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 64 * 1024)
-            big = bytes(range(256)) * (8 * 1024)  # 2 MB, position-dependent
+            big = ber_seq(bytes(range(256)) * (8 * 1024))  # 2 MB, position-dependent
             conn.send(big)
-            conn.send(b"small")
+            conn.send(ber_seq(b"small"))
             assert conn._out  # the write was short: this is the buffered path
             time.sleep(0.1)
-            want = frame(big) + frame(b"small")
+            want = big + ber_seq(b"small")
             got = bytearray()
             while len(got) < len(want):
                 chunk = reader.recv(1 << 20)
@@ -292,11 +321,11 @@ class TestReceiverThatRaises:
             try:
                 # the second frame ends mid-way: torn reassembly state
                 # is exactly what must not be carried on with
-                raw.sendall(frame(b"one") + frame(b"two") + frame(b"three")[:5])
+                raw.sendall(ber_seq(b"one") + ber_seq(b"two") + ber_seq(b"three")[:5])
                 assert read_to_eof(raw) == b""
             finally:
                 raw.close()
-            assert seen == [b"one"]
+            assert seen == [ber_seq(b"one")]
             assert wait_for(lambda: len(closes) == 1)
             assert closes[0].closed and not closes[0]._rbuf
             assert metrics.counter("reactor.callback_errors").value == 1
@@ -339,10 +368,10 @@ class TestNothingBehindAClosingFrameIsDispatched:
     @pytest.mark.parametrize(
         "segments",
         [
-            pytest.param([frame(UNBIND) + frame(ADD)], id="unbind-then-add"),
-            pytest.param([frame(b"\x00\xde\xad") + frame(ADD)], id="garbage-then-add"),
+            pytest.param([UNBIND + ADD], id="unbind-then-add"),
+            pytest.param([ber_seq(b"\x00\xde\xad") + ADD], id="garbage-then-add"),
             pytest.param(
-                [frame(UNBIND)[:2], frame(UNBIND)[2:] + frame(ADD)],
+                [UNBIND[:2], UNBIND[2:] + ADD],
                 id="unbind-reassembled-then-add",
             ),
         ],
@@ -359,14 +388,18 @@ class TestNothingBehindAClosingFrameIsDispatched:
             raw.close()
         self._assert_untouched(server, dit)
 
-    @pytest.mark.parametrize("bad", [BAD_UTF8, BAD_ENUM], ids=["utf8", "enum"])
+    @pytest.mark.parametrize(
+        "bad",
+        [BAD_UTF8, BAD_ENUM, deep_search_frame(2000)],
+        ids=["utf8", "enum", "filter-2000-deep"],
+    )
     def test_malformed_but_framed_message_is_a_protocol_error(self, served, bad):
         """Counted, answered with EOF, nothing behind it dispatched —
         and the next connection is served."""
         port, server, dit, endpoint = served
         raw = dial_raw(port)
         try:
-            raw.sendall(frame(bad) + frame(ADD) + frame(SEARCH)[:7])
+            raw.sendall(bad + ADD + SEARCH[:7])
             assert read_to_eof(raw) == b""
         finally:
             raw.close()

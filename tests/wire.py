@@ -2,18 +2,27 @@
 
 Tests that promise "the same bytes whichever way they travel" run one
 scene over the reactor on loopback and over the simulator; this is the
-only place that knows how each is set up.
+only place that knows how each is set up.  The reactor frames a stream
+by the outer BER length of each LDAPMessage, so a test that puts its
+own bytes on a connection wraps them with :func:`ber_seq`.
 """
 
 import contextlib
 import itertools
 from typing import Callable, NamedTuple, Optional
 
+from repro.ldap.ber import TAG_SEQUENCE, encode_tlv
 from repro.net import ReactorEndpoint, SimNetwork, Simulator, WallClock
 from repro.net.clock import Clock
 from repro.net.transport import Address, Connection, ConnectionHandler
 
 WIRES = ("reactor", "simnet")
+
+
+def ber_seq(content: bytes) -> bytes:
+    """*content* as one BER SEQUENCE: the shape of an LDAPMessage, and so
+    the smallest thing the reactor delivers as one message."""
+    return encode_tlv(TAG_SEQUENCE, content)
 
 
 class Wire(NamedTuple):
