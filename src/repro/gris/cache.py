@@ -220,6 +220,25 @@ class ProviderCache:
             raise flight.error
         return flight.slot
 
+    def ready(self, provider: InformationProvider, now: float) -> bool:
+        """True when :meth:`get` would answer from the held snapshot at once.
+
+        That is, without calling ``provide()`` or waiting on a flight:
+        the snapshot is within its TTL, or within the stale-while-
+        revalidate window and a refresh runner takes the refresh off the
+        caller's thread.  Counts nothing; :meth:`get` counts the hit.
+        """
+        ttl = provider.cache_ttl
+        with self._lock:
+            state = self._states.get(provider.name)
+            slot = state.slot if state is not None else None
+        if slot is None or ttl <= 0:
+            return False
+        age = now - slot.produced_at
+        return age <= ttl or (
+            self._runner is not None and age <= ttl + self.stale_while_revalidate
+        )
+
     def _refresh(
         self, provider: InformationProvider, flight: _Flight, now: float
     ) -> None:

@@ -326,8 +326,9 @@ def build_gris(
 
     Pass a shared :class:`~repro.obs.metrics.MetricsRegistry` to fold
     this GRIS's counters into a process-wide ``cn=monitor`` surface.
-    ``provider_workers`` > 0 probes providers concurrently on a bounded
-    pool (0 keeps the deterministic inline dispatch), and
+    ``provider_workers`` > 0 refreshes the providers one search needs
+    concurrently on a bounded pool (0 keeps the deterministic inline
+    dispatch), and
     ``stale_while_revalidate`` widens each provider's serve window by
     that many seconds: expired-but-within-window snapshots are answered
     immediately while one background refresh runs.  A non-empty

@@ -11,7 +11,9 @@ This backend plugs into the :class:`~repro.ldap.server.LdapServer`
 front end (which owns authentication and authoritative result
 filtering, §10.1/§10.3) and adds:
 
-* namespace-pruned dispatch to registered providers;
+* namespace-pruned dispatch to registered providers: a probe the held
+  snapshot answers is a read on the search thread, and only probes that
+  may block (refreshes, per-request providers) go to the provider pool;
 * per-provider TTL caching (:mod:`repro.gris.cache`);
 * one shared, read-only *served form* per provider snapshot (rebased,
   keyed by DN, one encode-cache cell per entry), built once per refresh:
@@ -155,6 +157,7 @@ class GrisBackend(Backend):
             refresh_runner=None if self._pool.inline else self._pool.submit,
         )
         self._providers: Dict[str, InformationProvider] = {}
+        self._bases: Dict[str, DN] = {}
         self._provider_seconds: Dict[str, object] = {}
         self._suffix_source: Optional[_Source] = None
         # Served form per cached provider (see _publish): read without
@@ -203,6 +206,8 @@ class GrisBackend(Backend):
         if provider.name in self._providers:
             raise ValueError(f"duplicate provider {provider.name!r}")
         name = provider.name
+        # Absolute DN of the subtree the provider serves (§10.3 pruning).
+        self._bases[name] = DN(provider.namespace.rdns + self.suffix.rdns)
         self._providers[name] = provider
         self._provider_seconds[name] = self.metrics.histogram(
             "gris.provider.seconds", labels={"provider": name}
@@ -246,6 +251,7 @@ class GrisBackend(Backend):
             self.metrics.unregister("gris.cache.age", labels=labels)
             self.metrics.unregister("gris.provider.seconds", labels=labels)
             self._provider_seconds.pop(name, None)
+            self._bases.pop(name, None)
         self.cache.invalidate(name)
         with self._view_lock:
             self._sync_view(name, self._served.pop(name, None), None)
@@ -379,20 +385,16 @@ class GrisBackend(Backend):
 
     # -- namespace math ---------------------------------------------------------
 
-    def provider_base(self, provider: InformationProvider) -> DN:
-        """Absolute DN of the subtree *provider* serves."""
-        return DN(provider.namespace.rdns + self.suffix.rdns)
-
-    def _intersects(self, provider: InformationProvider, req: SearchRequest) -> bool:
+    @staticmethod
+    def _intersects(pbase: DN, base: DN, scope: Scope) -> bool:
         """Conservative namespace/scope intersection test (§10.3 pruning).
 
+        *pbase* is a provider's subtree, *base* and *scope* the search's.
         May admit a provider whose entries all fall outside the scope —
         generic scope filtering removes them — but never prunes one that
         could contribute.
         """
-        base = req.base_dn()
-        pbase = self.provider_base(provider)
-        if req.scope == Scope.BASE:
+        if scope == Scope.BASE:
             return base.is_within(pbase)
         return pbase.is_within(base) or base.is_within(pbase)
 
@@ -455,26 +457,30 @@ class GrisBackend(Backend):
         contributes its shared served form (nothing is copied, stamped,
         rebased or re-keyed per request), a filter-aware one its answer.
 
-        Namespace-pruned providers are probed concurrently on the
-        provider pool when it has workers (query latency is the max of
-        the provider latencies, not the sum); inline mode probes them
-        sequentially, which keeps the simulator deterministic.
+        A probe the cache can answer from the snapshot it holds is a
+        read and runs on the calling thread.  Every other probe may
+        block — a miss, a lapsed or TTL-0 snapshot, a provider in
+        backoff, a provider that answers per request — and goes to the
+        provider pool when it has workers, so the providers that must
+        be refreshed for one search are refreshed concurrently (the
+        search waits for the slowest, not the sum).  Inline mode probes
+        every provider in order, which keeps the simulator deterministic.
 
         A cancelled *token* aborts the fan-out: the requester is gone
         or past its time limit, so outstanding probes are wasted work.
         The partial list is returned; the front end discards it.
         """
         now = self.clock.now()
+        base = req.base_dn()
         eligible: List[InformationProvider] = []
-        for provider in self._providers.values():
-            if self._intersects(provider, req):
+        for name, provider in self._providers.items():
+            if self._intersects(self._bases[name], base, req.scope):
                 eligible.append(provider)
             else:
                 self._pruned.inc()
-        if self._pool.inline or len(eligible) <= 1:
-            results = self._probe_serial(eligible, req, now, trace, token)
-        else:
-            results = self._probe_parallel(eligible, req, now, trace, token)
+        results = self._probe_all(eligible, req, now, trace, token)
+        if token is not None and token.cancelled:
+            self._cancelled_collects.inc()
         sources = [self._suffix_source] if self._suffix_source is not None else []
         sources.extend(source for source in results if source is not None)
         self._collect_seconds.observe(self.clock.now() - now)
@@ -511,51 +517,54 @@ class GrisBackend(Backend):
             served = self._publish(provider.name, entries, produced_at)
         return served
 
-    def _probe_serial(
+    def _probe_all(
         self, eligible: List[InformationProvider], req, now, trace, token
     ) -> List[Optional[_Source]]:
-        results: List[Optional[_Source]] = []
-        for provider in eligible:
-            if token is not None and token.cancelled:
-                self._cancelled_collects.inc()
-                break
-            results.append(self._probe_one(provider, req, now, trace, token))
-        return results
+        """Probe *eligible*: one result per provider, in the same order.
 
-    def _probe_parallel(
-        self, eligible: List[InformationProvider], req, now, trace, token
-    ) -> List[Optional[_Source]]:
+        Reads of a held snapshot run here.  Probes that may block are
+        submitted to the pool first, so they overlap the reads, and
+        waited for last (or until *token* is cancelled).
+        """
         results: List[Optional[_Source]] = [None] * len(eligible)
-        remaining = [len(eligible)]
-        lock = threading.Lock()
-        done = threading.Event()
-
-        def probe_at(index: int, provider: InformationProvider) -> None:
-            out = None
-            try:
-                out = self._probe_one(provider, req, now, trace, token)
-            finally:
-                with lock:
-                    results[index] = out
-                    remaining[0] -= 1
-                    if remaining[0] == 0:
-                        done.set()
-
-        if token is not None:
-            # Abandon/deadline releases the wait below immediately;
-            # outstanding probes see the cancelled token and no-op.
-            token.on_cancel(done.set)
+        ready: List[int] = []
+        blocking: List[int] = []
         for index, provider in enumerate(eligible):
-            if token is not None and token.cancelled:
-                break
-            if not self._pool.submit(functools.partial(probe_at, index, provider)):
-                probe_at(index, provider)  # pool saturated: probe here
-        done.wait()
-        with lock:
-            snapshot = list(results)
-        if token is not None and token.cancelled:
-            self._cancelled_collects.inc()
-        return snapshot
+            reads = self._pool.inline or (
+                type(provider).search is InformationProvider.search
+                and self.cache.ready(provider, now)
+            )
+            (ready if reads else blocking).append(index)
+        if blocking:
+            remaining = [len(blocking)]
+            lock = threading.Lock()
+            done = threading.Event()
+
+            def probe_at(index: int) -> None:
+                out = None
+                try:
+                    out = self._probe_one(eligible[index], req, now, trace, token)
+                finally:
+                    with lock:
+                        results[index] = out
+                        remaining[0] -= 1
+                        if remaining[0] == 0:
+                            done.set()
+
+            if token is not None:
+                # Abandon/deadline releases the wait below immediately;
+                # outstanding probes see the cancelled token and no-op.
+                token.on_cancel(done.set)
+            for index in blocking:
+                if not self._pool.submit(functools.partial(probe_at, index)):
+                    probe_at(index)  # pool saturated: probe here
+        for index in ready:
+            results[index] = self._probe_one(eligible[index], req, now, trace, token)
+        if blocking:
+            done.wait()
+            with lock:  # a cancelled search's late probes still write
+                results = list(results)
+        return results
 
     def snapshot(self, req: Optional[SearchRequest] = None) -> List[Entry]:
         """The merged view (diagnostics); shared entries, read-only."""

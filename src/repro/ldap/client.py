@@ -33,6 +33,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..net.clock import Clock
 from ..net.transport import Connection, ConnectionClosed
+from ..security.acl import ANONYMOUS
 from .backend import ChangeType
 from .ber import TAG_SEQUENCE, BerError, Tag, TlvReader, decode_tlv
 from .dit import Scope
@@ -591,7 +592,9 @@ class LdapClient:
         )
         if not out.result.ok:
             raise LdapError(out.result)
-        return out.referrals[0] if out.referrals else ""
+        # RFC 4532: "dn:<dn>" or "u:<name>", empty for anonymous.
+        authz_id = out.referrals[0] if out.referrals else ""
+        return authz_id.partition(":")[2] if authz_id else ANONYMOUS
 
     def unbind(self) -> None:
         if not self.closed:

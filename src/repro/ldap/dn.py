@@ -317,10 +317,8 @@ class DN:
 
     def is_descendant_of(self, ancestor: "DN") -> bool:
         """True if *self* is strictly below *ancestor*."""
-        n = len(ancestor.rdns)
-        if len(self.rdns) <= n:
-            return False
-        return DN(self.rdns[len(self.rdns) - n :]) == ancestor
+        n = len(self.rdns) - len(ancestor.rdns)
+        return n > 0 and self.normalized()[n:] == ancestor.normalized()
 
     def is_within(self, ancestor: "DN") -> bool:
         """True if *self* equals *ancestor* or is below it."""

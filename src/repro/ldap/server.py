@@ -49,7 +49,7 @@ from ..security.gsi import AuthError
 from ..security.sasl import AnonymousOnly, Authenticator
 from .backend import Backend, ChangeType, RequestContext, Subscription
 from .dit import Scope
-from .dn import DN, intern_cache_stats
+from .dn import DN, DNError, intern_cache_stats
 from .entry import Entry
 from .executor import CancelToken, RequestExecutor
 from .filter import compile_filter
@@ -98,6 +98,17 @@ _RESPONSE_TO = {
     ModifyRequest: ModifyResponse,
     DeleteRequest: DeleteResponse,
 }
+
+
+def _authz_id(identity: str) -> str:
+    """The RFC 4513 authzId naming *identity*: "" for anonymous, else
+    ``dn:`` before a distinguished name and ``u:`` before any other name."""
+    if identity == ANONYMOUS:
+        return ""
+    try:
+        return f"u:{identity}" if DN.parse(identity).is_root() else f"dn:{identity}"
+    except DNError:
+        return f"u:{identity}"
 
 
 class LdapServer:
@@ -397,7 +408,8 @@ class _ServerConnection:
 
     def _handle_extended(self, msg_id: int, op: ExtendedRequest) -> None:
         if op.oid == WHOAMI_OID:
-            response = ExtendedResponse(LdapResult(), op.oid, self.identity.encode("utf-8"))
+            # RFC 4532: no responseName, and the authzId as the value.
+            response = ExtendedResponse(value=_authz_id(self.identity).encode("utf-8"))
         else:
             unsupported = f"unsupported extended op {op.oid}"
             response = ExtendedResponse(LdapResult(ResultCode.PROTOCOL_ERROR, message=unsupported))

@@ -98,8 +98,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--provider-workers",
         type=int,
         default=4,
-        help="provider fan-out threads: information providers for one "
-        "search are probed concurrently on this bounded pool "
+        help="provider fan-out threads: providers that must be refreshed "
+        "for one search are refreshed concurrently on this bounded pool "
         "(0 = probe sequentially on the search thread)",
     )
     parser.add_argument(

@@ -164,7 +164,42 @@ def _dns(draw):
     return DN(rdns)
 
 
+_ava = st.tuples(_attr, st.sampled_from(["h1", "grid", "a b", "x"]))
+_rdn_avas = st.lists(st.lists(_ava, min_size=1, max_size=2), max_size=3)
+
+
+@st.composite
+def _dn_pairs(draw):
+    """(dn, ancestor), usually related, each spelled its own way.
+
+    Spellings vary case, padding and inner whitespace and the order of
+    a multi-valued RDN's AVAs; the root, equal DNs and unrelated DNs all
+    occur.
+    """
+
+    def spell(attr, value):
+        case = draw(st.sampled_from([str.lower, str.upper, str.title]))
+        pad = draw(st.sampled_from(["", " "]))
+        gap = draw(st.sampled_from([" ", "  "]))
+        return case(attr), case(pad + gap.join(value.split()) + pad)
+
+    def dn(rdns):
+        return DN(tuple(RDN(tuple(draw(st.permutations([spell(*a) for a in avas])))) for avas in rdns))
+
+    tail, head = draw(_rdn_avas), draw(_rdn_avas)
+    dn_, ancestor = dn(head + tail), dn(draw(_rdn_avas) if draw(st.booleans()) else tail)
+    return (ancestor, dn_) if draw(st.booleans()) else (dn_, ancestor)
+
+
 class TestDnProperties:
+    @given(_dn_pairs())
+    def test_containment_matches_the_rdn_slice_reference(self, pair):
+        dn, ancestor = pair
+        n = len(dn) - len(ancestor)
+        below = n > 0 and DN(dn.rdns[n:]) == ancestor
+        assert dn.is_descendant_of(ancestor) == below
+        assert dn.is_within(ancestor) == (below or dn == ancestor)
+
     @given(_dns())
     def test_str_parse_roundtrip(self, dn):
         assert DN.parse(str(dn)) == dn

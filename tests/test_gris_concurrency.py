@@ -159,6 +159,22 @@ class TestStaleWhileRevalidate:
         assert produced == 50.0 and provider.invocations == 2
         assert not tasks  # refreshed inline, not in the background
 
+    def test_ready_means_get_answers_from_the_held_snapshot(self):
+        cache, tasks, provider = self.make(swr=30.0)
+        assert not cache.ready(provider, now=0.0)  # nothing held yet
+        cache.get(provider, now=0.0)
+        assert cache.ready(provider, now=10.0)  # within the TTL
+        assert cache.ready(provider, now=40.0)  # within ttl + window
+        assert not cache.ready(provider, now=40.5)  # past the window
+        assert cache.stats.hits == 0 and cache.stats.misses == 1  # counts nothing
+        bare = ProviderCache(stale_while_revalidate=30.0)  # no runner
+        bare.get(provider, now=0.0)
+        assert bare.ready(provider, now=10.0)
+        assert not bare.ready(provider, now=15.0)  # would refresh inline
+        per_request = FunctionProvider("q", lambda: [], cache_ttl=0.0)
+        bare.get(per_request, now=0.0)
+        assert not bare.ready(per_request, now=0.0)  # TTL 0: never held
+
     def test_without_runner_swr_degrades_to_blocking_refresh(self):
         """Inline/simulator mode: no background threads, fully deterministic."""
         cache = ProviderCache(stale_while_revalidate=30.0)
@@ -349,6 +365,37 @@ class TestParallelCollect:
             release.set()
             gris.shutdown()
 
+    def test_cancel_frees_a_search_stuck_on_its_only_provider(self):
+        """A lone provider that must refresh is probed on the pool too, so
+        cancelling releases the search instead of leaving it in provide()."""
+        release = threading.Event()
+        entered = threading.Event()
+
+        def stuck():
+            entered.set()
+            release.wait(10.0)
+            return [Entry("hn=h0", objectclass="computer", hn="h0")]
+
+        gris = GrisBackend("o=O1", clock=WallClock(), provider_workers=2)
+        gris.add_provider(
+            FunctionProvider("stuck", stuck, namespace="hn=h0", cache_ttl=300.0)
+        )
+        token = CancelToken()
+        searcher = threading.Thread(
+            target=lambda: gris.search(req(), RequestContext(token=token))
+        )
+        try:
+            searcher.start()
+            assert entered.wait(5.0)
+            token.cancel("abandon")
+            searcher.join(timeout=1.0)
+            assert not searcher.is_alive()
+            assert gris.metrics.counter("gris.collect.cancelled").value == 1
+        finally:
+            release.set()
+            searcher.join(timeout=10.0)
+            gris.shutdown()
+
     def test_pool_metrics_registered_under_gris_namespace(self):
         gris = build_gris(2, HOST_SPECS)
         try:
@@ -357,6 +404,71 @@ class TestParallelCollect:
             assert "gris.executor.submitted{pool=gris-provider}" in snap
             assert snap["gris.executor.submitted{pool=gris-provider}"]["value"] >= 4
             assert any(k.startswith("gris.collect.seconds") for k in snap)
+        finally:
+            gris.shutdown()
+
+
+class TestReadyProbesInline:
+    """A probe that reads a held snapshot runs on the search's own thread;
+    the provider pool gets only the probes that may block."""
+
+    COUNTERS = (
+        "gris.executor.submitted{pool=gris-provider}",
+        "gris.provider.dispatches",
+        "gris.cache.hits",
+    )
+
+    def make(self, swr=0.0):
+        """Five providers: the four hosts (TTL 300 s) and h4 (TTL 10 s)."""
+        sim = Simulator()
+        cpus = {"h4": "1"}
+        gris = build_gris(4, HOST_SPECS, clock=sim, swr=swr)
+        gris.add_provider(
+            FunctionProvider(
+                "host-4",
+                lambda: [Entry("hn=h4", objectclass="computer", hn="h4", cpucount=cpus["h4"])],
+                namespace="hn=h4",
+                cache_ttl=10.0,
+            )
+        )
+        return sim, gris, cpus
+
+    def counts(self, gris):
+        snap = gris.metrics.snapshot()
+        return tuple(snap[name]["value"] for name in self.COUNTERS)
+
+    @staticmethod
+    def h4_cpus(gris):
+        out = gris.search(req(), RequestContext())
+        assert len(out.entries) == 6  # suffix + five hosts
+        return {e.first("hn"): e.first("cpucount") for e in out.entries}["h4"]
+
+    def test_warm_searches_do_no_pool_work_and_count_the_same(self):
+        sim, gris, cpus = self.make()
+        try:
+            self.h4_cpus(gris)  # cold: all five refresh on the pool
+            submitted, dispatches, hits = self.counts(gris)
+            for _ in range(200):
+                self.h4_cpus(gris)
+            assert self.counts(gris) == (submitted, dispatches + 5 * 200, hits + 5 * 200)
+            cpus["h4"] = "9"
+            sim.run_for(11.0)  # h4 past its TTL, the other four within theirs
+            assert self.h4_cpus(gris) == "9"
+            assert self.counts(gris)[0] == submitted + 1
+        finally:
+            gris.shutdown()
+
+    def test_snapshot_inside_the_revalidation_window_is_read_inline(self):
+        sim, gris, cpus = self.make(swr=30.0)
+        try:
+            self.h4_cpus(gris)
+            submitted = self.counts(gris)[0]
+            cpus["h4"] = "9"
+            sim.run_for(15.0)  # h4 past its TTL, inside ttl + window
+            assert self.h4_cpus(gris) == "1"  # served stale at once
+            # One pool task: the background provide(), not the probe.
+            assert self.counts(gris)[0] == submitted + 1
+            assert gris.cache.stats.revalidations == 1
         finally:
             gris.shutdown()
 

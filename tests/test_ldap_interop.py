@@ -292,3 +292,20 @@ class TestStandardClient:
             for e in out.entries
         }
         assert theirs == ours and len(ours) == 3
+
+    def test_anonymous_whoami_is_an_empty_authzid_with_no_response_name(self, live_server):
+        """RFC 4532 §2.2: no responseName; an empty value for anonymous."""
+        port, _ = live_server
+        m = rfc4511.LDAPMessage()
+        m["messageID"] = 1
+        m["protocolOp"].getComponentByName("extendedReq")["requestName"] = WHOAMI_OID.encode()
+        with socket.create_connection(("127.0.0.1", port), timeout=5.0) as sock:
+            sock.sendall(rfc4511.encode(m))
+            (frame,) = rfc4511.receive(sock, lambda m: True)
+        assert frame["protocolOp"].getName() == "extendedResp"
+        resp = frame["protocolOp"].getComponent()
+        assert int(resp["resultCode"]) == 0
+        absent = dict(default=None, instantiate=False)
+        assert resp.getComponentByName("responseName", **absent) is None
+        value = resp.getComponentByName("responseValue", **absent)
+        assert value is None or bytes(value) == b""

@@ -1,0 +1,75 @@
+"""The paired-comparison runner's summariser, on canned gridbench result lines."""
+
+import importlib.util
+import json
+import pathlib
+
+import pytest
+
+_PATH = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "pairs.py"
+_spec = importlib.util.spec_from_file_location("pairs", _PATH)
+pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(pairs)
+
+END_TO_END = [
+    {"name": "server_cpu_ms_per_op", "unit": "ms", "better": "lower", "bound": 0.25},
+    {"name": "search_p50_ms", "unit": "ms", "better": "lower", "bound": 0.25},
+    {"name": "goodput_rps", "unit": "1/s", "better": "higher", "bound": 0.02},
+]
+
+
+def line(cpu, p50, goodput, failed=0):
+    """One run's stdout: progress noise, then gridbench's result line."""
+    metrics = {
+        "server_cpu_ms_per_op": {"value": cpu, "unit": "ms"},
+        "search_p50_ms": {"value": p50, "unit": "ms"},
+        "goodput_rps": {"value": goodput, "unit": "1/s"},
+    }
+    result = {"correct": failed == 0, "attempted": 100, "failed": failed, "metrics": metrics}
+    return "gridbench: warming up\n" + json.dumps(result) + "\n"
+
+
+def rows_by_metric(canned):
+    runs = [(pairs.parse_result(p), pairs.parse_result(c)) for p, c in canned]
+    return {row["metric"]: row for row in pairs.summarise(runs, END_TO_END)}
+
+
+def test_verdicts_follow_wins_spread_and_bounds():
+    canned = [
+        (
+            line(0.40 + 0.01 * (i % 3), 1.00 + 0.01 * i, 300.0),
+            line(0.30 + 0.01 * (i % 3), 1.00 + 0.01 * ((i + 5) % 10), 290.0),
+        )
+        for i in range(10)
+    ]
+    rows = rows_by_metric(canned)
+    cpu = rows["server_cpu_ms_per_op"]
+    assert (cpu["verdict"], cpu["wins"], cpu["pairs"]) == ("gain", 10, 10)
+    assert cpu["delta"] == pytest.approx(-0.25, abs=0.01)
+    p50 = rows["search_p50_ms"]
+    assert p50["verdict"] == "no regression"  # same values, shuffled: no gain
+    assert p50["change"][1] == pytest.approx(p50["parent"][1])
+    goodput = rows["goodput_rps"]
+    assert (goodput["verdict"], goodput["wins"]) == ("worse", 0)  # -3.3% past a 2% bound
+
+
+def test_a_gain_needs_nine_tenths_of_the_pairs_and_more_than_the_parent_spread():
+    eight_of_ten = [(line(1.0, 1.0, 300.0), line(0.5 if i < 8 else 1.1, 1.0, 300.0)) for i in range(10)]
+    assert rows_by_metric(eight_of_ten)["server_cpu_ms_per_op"]["verdict"] == "no regression"
+    # Every pair won, but by less than the parent's inter-quartile distance.
+    narrow = [(line(1.0 + 0.1 * i, 1.0, 300.0), line(0.99 + 0.1 * i, 1.0, 300.0)) for i in range(10)]
+    row = rows_by_metric(narrow)["server_cpu_ms_per_op"]
+    assert row["wins"] == 10 and row["verdict"] == "no regression"
+
+
+def test_failed_and_missing_runs():
+    assert pairs.failed(pairs.parse_result(line(1.0, 1.0, 300.0, failed=2)))
+    assert not pairs.failed(pairs.parse_result(line(1.0, 1.0, 300.0)))
+    assert pairs.parse_result("Traceback (most recent call last):\n  boom\n") is None
+    # A run with no result line drops out of that metric's pairs.
+    canned = [(line(1.0, 1.0, 300.0), line(0.9, 1.0, 300.0))] * 3
+    runs = [(pairs.parse_result(p), pairs.parse_result(c)) for p, c in canned]
+    runs.append((runs[0][0], {"correct": False, "metrics": {}}))
+    rows = pairs.summarise(runs, END_TO_END)
+    assert {row["pairs"] for row in rows} == {3}
+    assert "worse" not in pairs.format_rows(rows)

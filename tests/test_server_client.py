@@ -9,7 +9,7 @@ from repro.ldap.client import LdapClient, LdapError
 from repro.ldap.dit import DIT, Scope
 from repro.ldap.entry import Entry
 from repro.ldap.protocol import ModifyRequest, ResultCode, SearchRequest
-from repro.ldap.server import LdapServer
+from repro.ldap.server import LdapServer, _authz_id
 from repro.net.sim import Simulator
 from repro.net.simnet import SimNetwork
 from repro.net import ReactorEndpoint
@@ -243,6 +243,14 @@ class TestSecurityIntegration:
         token = make_token(alice, "ldap://server:389", now=fx.sim.now())
         fx.client.bind(mechanism="GSI", credentials=token)
         assert fx.client.whoami() == "CN=alice"
+
+    @pytest.mark.parametrize(
+        "identity, authz_id",
+        [(ANONYMOUS, ""), ("CN=alice", "dn:CN=alice"), ("/O=Grid/CN=alice", "u:/O=Grid/CN=alice")],
+    )
+    def test_whoami_authz_id_forms(self, identity, authz_id):
+        """RFC 4532/4513: empty for anonymous, ``dn:`` a DN, ``u:`` any other name."""
+        assert _authz_id(identity) == authz_id
 
     def test_bad_token_rejected(self):
         fx, alice, _ = self.make_secured(authenticated_policy())
