@@ -1,7 +1,11 @@
-"""Paired, interleaved comparison of two checkouts on one gridbench workload.
+"""Paired, interleaved comparison of two checkouts on gridbench workloads.
 
     python3 benchmarks/pairs.py --parent DIR --change DIR --workload W
-        [--pairs 10] [--seed N]
+        [--workload W2 ...] [--pairs 10] [--seed N]
+
+``--workload`` repeats, and ``--workload all`` names every workload of
+``BENCHMARK.json``; the workloads run one after another, each with its
+own pairs and its own table.
 
 Implements the method of gridbench's "Comparing two commits": pair *i*
 runs the benchmark command of ``BENCHMARK.json`` (beside this file's
@@ -18,8 +22,9 @@ for neither side) and a verdict:
   than the metric's ``bound`` (a fraction of the parent's median);
 * ``no regression`` -- neither.
 
-The exit status is non-zero when any run failed (non-zero exit, no
-result line, or ``failed`` > 0) or any metric is ``worse``.
+The exit status is non-zero when any run of any workload failed
+(non-zero exit, no result line, or ``failed`` > 0) or any metric is
+``worse``.
 """
 
 from __future__ import annotations
@@ -136,36 +141,53 @@ def format_rows(rows: Sequence[dict]) -> str:
     return "\n".join(lines)
 
 
+def compare(
+    bench: dict, sides: dict, workload: str, n_pairs: int, first_seed: int
+) -> Tuple[List[dict], bool]:
+    """Run *n_pairs* interleaved pairs of one workload; returns the summary
+    rows and whether any run failed."""
+    pairs: List[Tuple[dict, dict]] = []
+    any_failed = False
+    for i in range(n_pairs):
+        seed = first_seed + i
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        got = {}
+        for which in order:
+            got[which] = run_once(sides[which], bench["command"], workload, seed)
+            status = "FAILED " + got[which].get("error", "") if failed(got[which]) else "ok"
+            print(f"{workload} pair {i + 1}/{n_pairs} seed {seed} {which}: {status}", file=sys.stderr)
+            any_failed |= failed(got[which])
+        pairs.append((got["parent"], got["change"]))
+    return summarise(pairs, bench["end_to_end"]), any_failed
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, type=pathlib.Path, help="parent checkout")
     parser.add_argument("--change", required=True, type=pathlib.Path, help="change checkout")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument(
+        "--workload", required=True, action="append",
+        help="repeatable; 'all' means every workload of BENCHMARK.json",
+    )
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1, help="seed of the first pair")
     args = parser.parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = []
+    for name in args.workload:
+        workloads += [w["name"] for w in bench["workloads"]] if name == "all" else [name]
     sides = {"parent": args.parent, "change": args.change}
-    pairs: List[Tuple[dict, dict]] = []
-    any_failed = False
-    for i in range(args.pairs):
-        seed = args.seed + i
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        got = {}
-        for which in order:
-            got[which] = run_once(sides[which], bench["command"], args.workload, seed)
-            status = "FAILED " + got[which].get("error", "") if failed(got[which]) else "ok"
-            print(f"pair {i + 1}/{args.pairs} seed {seed} {which}: {status}", file=sys.stderr)
-            any_failed |= failed(got[which])
-        pairs.append((got["parent"], got["change"]))
-    rows = summarise(pairs, bench["end_to_end"])
-    print(f"workload {args.workload}: {args.pairs} pairs, seeds {args.seed}-{args.seed + args.pairs - 1}")
-    print(format_rows(rows))
-    worse = [r["metric"] for r in rows if r["verdict"] == "worse"]
-    if any_failed or worse:
-        print(f"NOT OK: failed runs {any_failed}, worse {worse}", file=sys.stderr)
-        return 1
-    return 0
+    not_ok = []
+    for workload in workloads:
+        rows, any_failed = compare(bench, sides, workload, args.pairs, args.seed)
+        print(f"workload {workload}: {args.pairs} pairs, seeds {args.seed}-{args.seed + args.pairs - 1}")
+        print(format_rows(rows), flush=True)
+        worse = [r["metric"] for r in rows if r["verdict"] == "worse"]
+        if any_failed or worse:
+            not_ok.append(f"{workload}: failed runs {any_failed}, worse {worse}")
+    for line in not_ok:
+        print(f"NOT OK {line}", file=sys.stderr)
+    return 1 if not_ok else 0
 
 
 if __name__ == "__main__":

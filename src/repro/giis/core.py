@@ -38,6 +38,7 @@ changed suffix, not on a refresh), which the query cache keys on too.
 
 from __future__ import annotations
 
+import functools
 import threading
 from collections import OrderedDict
 from dataclasses import replace
@@ -56,6 +57,7 @@ from ..ldap.backend import (
     SubscriptionTable,
     stream_outcome,
 )
+from ..ldap import ber
 from ..ldap.attributes import CASE_EXACT
 from ..ldap.dit import Scope, in_scope
 from ..ldap.filter import compile_filter
@@ -66,6 +68,7 @@ from ..ldap.index import AttributeIndex
 from ..ldap.entry import Entry, WireCache
 from ..ldap.protocol import (
     AddRequest,
+    Control,
     LdapResult,
     RawEntry,
     ResultCode,
@@ -109,8 +112,6 @@ _MAX_ROUTES = 1024
 
 
 def _read_chain_depth(controls) -> int:
-    from ..ldap import ber
-
     for control in controls:
         if getattr(control, "oid", None) == CHAIN_DEPTH_OID:
             try:
@@ -120,10 +121,9 @@ def _read_chain_depth(controls) -> int:
     return 0
 
 
-def _chain_depth_control(depth: int):
-    from ..ldap import ber
-    from ..ldap.protocol import Control
-
+@functools.lru_cache(maxsize=64)
+def _chain_depth_control(depth: int) -> Control:
+    """The depth control for one hop; depths are few, so each is built once."""
     return Control(CHAIN_DEPTH_OID, False, ber.encode_integer(depth))
 
 

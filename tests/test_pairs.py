@@ -73,3 +73,68 @@ def test_failed_and_missing_runs():
     rows = pairs.summarise(runs, END_TO_END)
     assert {row["pairs"] for row in rows} == {3}
     assert "worse" not in pairs.format_rows(rows)
+
+
+def _stub_runs(monkeypatch, canned):
+    """Replace the gridbench run with *canned*[(workload, side)] records;
+    returns the (workload, side, seed) calls made."""
+    calls = []
+
+    def run_once(checkout, command, workload, seed):
+        side = pathlib.Path(checkout).name
+        calls.append((workload, side, seed))
+        return pairs.parse_result(canned[workload, side])
+
+    monkeypatch.setattr(pairs, "run_once", run_once)
+    return calls
+
+
+def _main(*workloads):
+    argv = ["--parent", "parent", "--change", "change", "--pairs", "2", "--seed", "7"]
+    for workload in workloads:
+        argv += ["--workload", workload]
+    return pairs.main(argv)
+
+
+def test_several_workloads_run_in_turn_one_table_each(monkeypatch, capsys):
+    canned = {
+        ("gris_host", "parent"): line(0.40, 1.0, 300.0),
+        ("gris_host", "change"): line(0.30, 1.0, 300.0),
+        ("giis_chained", "parent"): line(2.0, 2.0, 100.0),
+        ("giis_chained", "change"): line(2.0, 2.0, 100.0),
+    }
+    calls = _stub_runs(monkeypatch, canned)
+    assert _main("gris_host", "giis_chained") == 0
+    assert [c[0] for c in calls] == ["gris_host"] * 4 + ["giis_chained"] * 4
+    assert [c[1:] for c in calls[:4]] == [
+        ("parent", 7), ("change", 7), ("change", 8), ("parent", 8)
+    ]
+    out = capsys.readouterr().out
+    assert out.count("workload ") == 2 and out.count("server_cpu_ms_per_op") == 2
+    assert out.index("workload gris_host") < out.index("workload giis_chained")
+
+
+def test_any_workload_worse_or_failed_fails_the_whole_run(monkeypatch, capsys):
+    ok = line(1.0, 1.0, 300.0)
+    canned = {
+        ("gris_host", "parent"): ok,
+        ("gris_host", "change"): ok,
+        ("giis_chained", "parent"): ok,
+        ("giis_chained", "change"): line(1.5, 1.0, 300.0),  # CPU +50%
+    }
+    _stub_runs(monkeypatch, canned)
+    assert _main("gris_host", "giis_chained") == 1
+    assert "NOT OK giis_chained" in capsys.readouterr().err
+    canned["giis_chained", "change"] = line(1.0, 1.0, 300.0, failed=1)
+    assert _main("gris_host", "giis_chained") == 1
+    canned["giis_chained", "change"] = ok
+    assert _main("gris_host", "giis_chained") == 0
+
+
+def test_all_means_every_benchmark_workload(monkeypatch):
+    bench = json.loads((_PATH.parents[1] / "BENCHMARK.json").read_text())
+    names = [w["name"] for w in bench["workloads"]]
+    ok = line(1.0, 1.0, 300.0)
+    calls = _stub_runs(monkeypatch, {(n, s): ok for n in names for s in ("parent", "change")})
+    assert _main("all") == 0
+    assert list(dict.fromkeys(c[0] for c in calls)) == names

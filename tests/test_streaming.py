@@ -439,6 +439,35 @@ def test_child_answering_a_malformed_done_is_failed_at_once(transport):
     assert giis.metrics.counter("giis.child.timeouts").value == 0
 
 
+def test_a_chained_search_starts_no_thread(monkeypatch):
+    """Each VO-wide search arms a front-end deadline, one timeout per
+    child and one deadline in each child; none of them is an OS thread
+    of its own (at most the process's one timer thread starts)."""
+    started = []
+    real_start = threading.Thread.start
+
+    def counting_start(thread):
+        started.append(thread.name)
+        real_start(thread)
+
+    req = SearchRequest(
+        base="o=Grid", filter=parse_filter("(objectclass=computer)"), time_limit=5
+    )
+    with open_wire("reactor") as wire:
+        children = [_gris_handler(g, wire.clock) for g in range(2)]
+        with _chained(wire, children) as (client, _, _giis):
+            monkeypatch.setattr(threading.Thread, "start", counting_start)
+            for _ in range(50):
+                done = threading.Event()
+                out = []
+                client.search_async(req, lambda r, _e: (out.append(r), done.set()))
+                assert done.wait(10.0)
+                assert out[0].result.ok and len(out[0].entries) == 6
+            monkeypatch.undo()
+            client.unbind()
+    assert len(started) <= 1, started[:5]
+
+
 # ---------------------------------------------------------------------------
 # Streamed == reference merge through the whole chained stack (simulator)
 # ---------------------------------------------------------------------------
@@ -611,6 +640,26 @@ class TestSizeBudget:
         assert len(out.entries) == 2
         abandoned = giis.backend.metrics.counter("giis.child.abandoned")
         assert abandoned.value >= 1
+
+
+@pytest.mark.parametrize("time_limit, forwarded", [(2, 2), (0, 5)])
+def test_time_budget_propagates_to_children(time_limit, forwarded):
+    """Each child is asked for the tighter of the client's timeLimit and
+    the GIIS's own child timeout."""
+    tb = GridTestbed(seed=5)
+    giis, recorder = _vo_with_recording_child(tb, child_timeout=5.0)
+    out = []
+    tb.client("u", giis).search_async(
+        SearchRequest(
+            base="o=Grid",
+            filter=parse_filter("(objectclass=computer)"),
+            time_limit=time_limit,
+        ),
+        lambda r, _e: out.append(r),
+    )
+    tb.run(1.0)
+    assert out and out[0].result.ok
+    assert [r.time_limit for r in recorder.requests] == [forwarded]
 
 
 # ---------------------------------------------------------------------------
