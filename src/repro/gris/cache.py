@@ -291,7 +291,7 @@ class ProviderCache:
     ) -> None:
         """Install a snapshot without invoking the provider (warm restart).
 
-        Used by durable-view recovery: entries replayed from storage
+        Used by durable GRIS recovery: entries replayed from storage
         stand in for the pre-crash ``provide()`` result.  They already
         carry the stamps of the original production time, and
         *produced_at* repeats it, so TTL expiry still measures real

@@ -332,12 +332,11 @@ def build_gris(
     ``stale_while_revalidate`` widens each provider's serve window by
     that many seconds: expired-but-within-window snapshots are answered
     immediately while one background refresh runs.  A non-empty
-    ``indexes`` list in the config maintains a materialized view of the
-    provider caches with posting lists over those attributes, letting
-    equality/presence searches skip the linear merge scan.  A
-    ``storage`` object (or ``data_dir``) makes that view durable: the
-    server restarts warm, serving pre-crash snapshots until their TTLs
-    lapse.
+    ``indexes`` list in the config gives each served provider snapshot
+    posting lists over those attributes, letting equality/presence
+    searches skip the linear merge scan.  A durable ``storage`` object
+    (or ``data_dir``) persists the snapshots: the server restarts warm,
+    serving pre-crash snapshots until their TTLs lapse.
     """
     metrics = metrics or MetricsRegistry()
     storage = _make_engine(config, data_dir, "gris-view", metrics, tracer)

@@ -16,8 +16,11 @@ filtering, §10.1/§10.3) and adds:
   may block (refreshes, per-request providers) go to the provider pool;
 * per-provider TTL caching (:mod:`repro.gris.cache`);
 * one shared, read-only *served form* per provider snapshot (rebased,
-  keyed by DN, one encode-cache cell per entry), built once per refresh:
+  keyed by DN, one encode-cache cell per entry, and its own posting
+  lists when ``index_attrs`` are configured), built once per refresh:
   a search is O(providers) TTL checks plus O(candidates) matching;
+* optional durability: each served form is written to a storage engine,
+  and a restarted GRIS serves it until its TTL lapses;
 * robustness: a failing provider is skipped, not fatal (§2.2);
 * polling subscriptions, so persistent search works over providers that
   only expose snapshots (MDS-2.1 lacked push; we implement it as the
@@ -38,13 +41,15 @@ from ..ldap.backend import (
     SearchOutcome,
     Subscription,
 )
-from ..ldap.dit import DIT, DitError, Scope, in_scope
+from ..ldap.dit import Scope, in_scope
 from ..ldap.dn import DN, RDN
 from ..ldap.entry import Entry, WireCache
 from ..ldap.executor import RequestExecutor
 from ..ldap.filter import compile_filter
+from ..ldap.index import AttributeIndex
+from ..ldap.plan import candidates_for
 from ..ldap.protocol import LdapResult, ResultCode, SearchRequest
-from ..ldap.storage import StorageEngine
+from ..ldap.storage import ChangeOp, StorageEngine
 from ..net.clock import Clock, TimerHandle
 from ..obs.metrics import MetricsRegistry
 from .cache import ProviderCache
@@ -52,20 +57,16 @@ from .provider import FunctionProvider, InformationProvider, ProviderError
 
 __all__ = ["GrisBackend"]
 
-# Object class of the per-provider bookkeeping entries a durable view
-# stores alongside the mirrored snapshots (see _sync_view).
-_VIEW_META_CLASS = "grisviewmeta"
+# Object class of the marker at the root of a durable snapshot branch.
+_SNAPSHOT_CLASS = "grissnapshot"
 
 # Currency stamps: constants of a snapshot, not part of an entry's payload.
 _STAMPS = frozenset(("mds-timestamp", "mds-validto"))
 
 
-def _view_marker_dn(provider_name: str) -> DN:
-    """Where provider *provider_name*'s view-metadata entry lives.
-
-    A top-level branch separate from the GRIS suffix, so markers never
-    collide with (or leak into) the mirrored provider namespace.
-    """
+def _branch(provider_name: str) -> DN:
+    """The marker DN of a provider's durable branch, outside the suffix;
+    its served entries are stored below it at their served DNs."""
     return DN((RDN.single("gris-view-provider", provider_name),))
 
 
@@ -73,19 +74,29 @@ class _Source:
     """One source's entries in served form: absolute DNs, keyed by DN.
 
     The first entry to name a DN wins, as in the cross-provider merge.
-    Read-only once built and shared by every request; *origin* is the
-    provider-cache tuple it was built from (another tuple = a refresh).
+    With *index_attrs*, the source also carries its own posting lists
+    over them, keyed by DN; without, ``index`` is None.  Read-only once
+    built and shared by every request; *origin* is the provider-cache
+    tuple it was built from (another tuple = a refresh).
     """
 
-    __slots__ = ("name", "origin", "produced_at", "by_dn")
+    __slots__ = ("name", "origin", "produced_at", "by_dn", "index")
 
-    def __init__(self, entries: Iterable[Entry], name=None, origin=None, produced_at=0.0):
+    def __init__(
+        self, entries: Iterable[Entry], name=None, origin=None, produced_at=0.0,
+        index_attrs: Optional[Sequence[str]] = None,
+    ):
         self.name = name
         self.origin = origin
         self.produced_at = produced_at
         self.by_dn: Dict[DN, Entry] = {}
         for entry in entries:
             self.by_dn.setdefault(entry.dn, entry)
+        self.index: Optional[AttributeIndex] = None
+        if index_attrs is not None:
+            self.index = AttributeIndex(index_attrs)
+            for dn, entry in self.by_dn.items():
+                self.index.add(dn, entry.get)
 
 
 def _shared(entry: Entry, dn: DN) -> Entry:
@@ -161,8 +172,12 @@ class GrisBackend(Backend):
         self._provider_seconds: Dict[str, object] = {}
         self._suffix_source: Optional[_Source] = None
         # Served form per cached provider (see _publish): read without
-        # a lock, written under _view_lock together with the view.
+        # a lock, written under _publish_lock together with storage.
         self._served: Dict[str, _Source] = {}
+        self._publish_lock = threading.Lock()
+        self.index_attrs: tuple = tuple(index_attrs or ())
+        # What each source indexes; None = every search matches linearly.
+        self._index_attrs = ("objectclass",) + self.index_attrs if self.index_attrs else None
         self._subs: Dict[int, "_PollingSubscription"] = {}
         self._next_sub = 0
         self._provider_errors = self.metrics.counter("gris.provider.errors")
@@ -172,33 +187,21 @@ class GrisBackend(Backend):
         self._collect_seconds = self.metrics.histogram("gris.collect.seconds")
         self.metrics.gauge_fn("gris.providers", lambda: len(self._providers))
         self.metrics.gauge_fn("gris.subscriptions", lambda: len(self._subs))
-        # Materialized view: the served forms mirrored into an indexed
-        # DIT so plannable filters probe posting lists instead of
-        # filter-matching every merged entry.  It holds what the merge
-        # serves (first provider to name a DN wins) and only yields
-        # candidate DNs; answers are the shared entries in _served.
-        # None = linear matching.
-        self._view: Optional[DIT] = None
-        self._view_lock = threading.Lock()
-        self.index_attrs: tuple = tuple(index_attrs or ())
-        self.recovered_view_providers = 0
-        if self.index_attrs or storage is not None:
-            self._view = DIT(
-                index_attrs=self.index_attrs,
-                metrics=self.metrics,
-                name="gris-view",
-                storage=storage,
-            )
-            if storage is not None:
-                self._recover_view()
+        # Durability only: searches never read the engine.  A memory
+        # engine would hold a second copy for nothing and is not written.
+        self.storage = storage
+        self._durable = storage is not None and storage.backend_name != "memory"
+        self.recovered_providers = 0
+        if self._durable:
+            self._recover()
         self._search_indexed = self.metrics.counter("gris.search.indexed")
         self._search_scanned = self.metrics.counter("gris.search.scanned")
 
     def shutdown(self, wait: bool = True) -> None:
-        """Stop the provider pool threads and flush durable view state."""
+        """Stop the provider pool threads and flush the durable snapshots."""
         self._pool.shutdown(wait=wait)
-        if self._view is not None:
-            self._view.storage.close()
+        if self.storage is not None:
+            self.storage.close()
 
     # -- configuration ("dynamically or statically", §10.3) -------------------
 
@@ -253,124 +256,113 @@ class GrisBackend(Backend):
             self._provider_seconds.pop(name, None)
             self._bases.pop(name, None)
         self.cache.invalidate(name)
-        with self._view_lock:
-            self._sync_view(name, self._served.pop(name, None), None)
+        with self._publish_lock:
+            self._persist(name, self._served.pop(name, None), None)
 
-    # -- served forms and the materialized view ----------------------------------
+    # -- served forms and their durable branches -----------------------------------
 
     def _publish(self, name: str, origin: Tuple[Entry, ...], produced_at: float) -> _Source:
         """Build and publish the served form of one provider snapshot.
 
         Once per refresh, by whichever search first sees the new cache
-        tuple.  The view moves with it under one lock: a search sees a
-        provider's generation N or N+1 whole, never a mixture.
+        tuple.  The form carries its own index, so a search holding it
+        plans over generation N or N+1 whole, never a mixture.
         """
-        with self._view_lock:
+        with self._publish_lock:
             old = self._served.get(name)
             if old is not None and (old.origin is origin or produced_at < old.produced_at):
                 return old  # built meanwhile, or the caller holds an older one
             suffix = self.suffix.rdns
-            served = _Source(
-                (_shared(e, DN(e.dn.rdns + suffix)) for e in origin),
-                name,
-                origin,
-                produced_at,
-            )
+            rebased = (_shared(e, DN(e.dn.rdns + suffix)) for e in origin)
+            served = _Source(rebased, name, origin, produced_at, self._index_attrs)
             if name in self._providers:  # else removed while the probe ran
                 self._served[name] = served
-                self._sync_view(name, old, served)
+                self._persist(name, old, served)
             return served
 
-    def _sync_view(self, name: str, old: Optional[_Source], new: Optional[_Source]) -> None:
-        """Move the view from provider *name*'s generation *old* to *new*.
+    def _persist(self, name: str, old: Optional[_Source], new: Optional[_Source]) -> None:
+        """Move provider *name*'s durable branch from form *old* to *new*.
 
-        The caller holds ``_view_lock`` and has updated ``_served``.  The
-        view keeps, per DN, the entry the merge serves: a DN this
-        provider dropped falls to the next provider naming it, or leaves.
+        The caller holds ``_publish_lock``.  The marker is deleted first
+        and written last, so a crash part-way leaves a branch without
+        one, which recovery discards: a restart never serves a mixture
+        of two generations.
         """
-        if self._view is None:
+        if not self._durable:
             return
-        sources = [self._served[n] for n in list(self._providers) if n in self._served]
+        branch = _branch(name)
+        apply = self.storage.apply
+        if old is not None:
+            apply(ChangeOp.delete(branch))
         kept = new.by_dn if new is not None else {}
-        touched = set(kept).union(old.by_dn if old is not None else ())
-        for dn in sorted(touched, key=len, reverse=True):
-            winner = _first(sources, dn)
-            try:
-                if winner is None:
-                    self._view.delete(dn)
-                elif winner is kept.get(dn) or dn not in kept:
-                    self._view.add(winner, replace=True)
-            except DitError:
-                pass  # glue ancestor of entries still in the view
-        if self._view.storage.backend_name == "memory":
-            return  # a marker exists to be read back after a restart
-        # With a durable engine underneath, (version, mirrored DNs) must
-        # survive restart beside the mirrored entries, or recovery could
-        # not tell which snapshots the persisted view corresponds to.
-        marker = _view_marker_dn(name)
+        for dn in old.by_dn if old is not None else ():
+            if dn not in kept:
+                apply(ChangeOp.delete(DN(dn.rdns + branch.rdns)))
+        for dn, entry in kept.items():
+            apply(ChangeOp.put(entry.with_dn(DN(dn.rdns + branch.rdns))))
         if new is not None:
-            attrs = {
-                "gris-view-provider": name,
-                "objectclass": [_VIEW_META_CLASS],
-                "viewversion": repr(new.produced_at),
-                "viewdn": [str(dn) for dn in kept],
-            }
-            self._view.replace(Entry(marker, attrs=attrs))
-        elif self._view.exists(marker):
-            self._view.delete(marker)
+            attrs = {"gris-view-provider": name, "objectclass": _SNAPSHOT_CLASS,
+                     "viewversion": repr(new.produced_at)}
+            apply(ChangeOp.put(Entry(branch, attrs)))
 
-    def _recover_view(self) -> None:
-        """Warm restart: rebuild the served forms from replayed markers.
+    def _recover(self) -> None:
+        """Warm restart: rebuild the served forms from the stored branches.
 
-        Each marker yields a provider's snapshot version and the DNs it
-        mirrored: the pre-crash served form, stamps included.  Un-rebased
-        it seeds the provider cache at the original production time, so
-        searches serve the pre-crash results until TTLs lapse (§2.1: the
-        stamps still say when the data was actually produced).
+        A branch whose root is a well-formed marker holds one provider's
+        pre-crash served form, stamps included.  Un-rebased it seeds the
+        provider cache at the original production time, so searches
+        serve the pre-crash results until TTLs lapse (§2.1: the stamps
+        still say when the data was actually produced).  Every other
+        stored entry (a branch a crash cut short, data in another
+        layout) is deleted, and its provider re-probes cold.
         """
-        strip = len(self.suffix.rdns)
-        for entry in self._view.dump():
+        self.storage.replay()
+        stored = self.storage.entries
+        branches: Dict[DN, Tuple[str, float, List[Entry]]] = {}
+        for dn, entry in stored.items():
             name = entry.first("gris-view-provider")
-            if not entry.is_a(_VIEW_META_CLASS) or not name:
+            if name and entry.is_a(_SNAPSHOT_CLASS) and dn == _branch(name):
+                try:
+                    branches[dn] = (name, float(entry.first("viewversion", "")), [])
+                except ValueError:
+                    pass
+        for dn, entry in list(stored.items()):
+            if dn in branches:
                 continue
-            try:
-                version = float(entry.first("viewversion", ""))
-                dns = [DN.of(s) for s in entry.get("viewdn")]
-            except ValueError:
-                continue  # malformed marker: provider re-probes cold
-            stored = [self._view.get(dn) for dn in dns if self._view.exists(dn)]
-            origin = tuple(
-                e.with_dn(DN(e.dn.rdns[: len(e.dn.rdns) - strip])) for e in stored
-            )
-            self._served[name] = _Source(stored, name, origin, version)
+            branch = branches.get(DN(dn.rdns[-1:]))
+            served = DN(dn.rdns[:-1])
+            if branch is not None and served.is_within(self.suffix):
+                branch[2].append(_shared(entry, served))
+            else:
+                self.storage.apply(ChangeOp.delete(dn))
+        for name, version, entries in branches.values():
+            origin = tuple(e.with_dn(DN(e.dn.relative_to(self.suffix))) for e in entries)
+            self._served[name] = _Source(entries, name, origin, version, self._index_attrs)
             self.cache.seed(name, origin, version)
-            self.recovered_view_providers += 1
+            self.recovered_providers += 1
 
     def _plan(self, req: SearchRequest, sources: List[_Source]) -> Optional[Set[DN]]:
-        """Candidate DNs for *sources*, or None to match them linearly.
-
-        None when (a) no view is configured, (b) a source is not the
-        generation the view indexes — a provider answered per-request,
-        or a concurrent refresh moved the view on — or (c) the filter
-        is not index-answerable.
+        """The union of each source's own candidate DNs, or None to match
+        linearly: no ``index_attrs`` configured, a source without an index
+        (a provider that answered per request), or an unplannable filter.
         """
-        if self._view is None:
+        if self._index_attrs is None:
             return None
-        with self._view_lock:
-            for source in sources:
-                if (
-                    source is not self._suffix_source
-                    and self._served.get(source.name) is not source
-                ):
-                    return None
-            return self._view.candidates(req.filter)
+        planned: Set[DN] = set()
+        for source in sources:
+            index = source.index
+            candidates = None if index is None else candidates_for(req.filter, index)
+            if candidates is None:
+                return None
+            planned |= candidates
+        return planned
 
     def providers(self) -> List[InformationProvider]:
         return list(self._providers.values())
 
     def set_suffix_entry(self, entry: Entry) -> None:
         """The entry published at the GRIS suffix itself."""
-        self._suffix_source = _Source([_shared(entry, self.suffix)])
+        self._suffix_source = _Source([_shared(entry, self.suffix)], index_attrs=self._index_attrs)
 
     def _observe_provider(
         self, provider: InformationProvider, started: float, span, failed: bool = False
@@ -435,14 +427,10 @@ class GrisBackend(Backend):
             found = _scan(sources, base, req.scope, match)
         else:
             self._search_indexed.inc()
-            # The suffix entry never enters the view (it is not a cached
-            # provider snapshot): verify it like any other candidate.
-            candidates.add(self.suffix)
             found = [
                 entry
                 for entry in (_first(sources, dn) for dn in candidates)
-                if entry is not None  # None: a posting outside this collect
-                and in_scope(entry.dn, base, req.scope)
+                if in_scope(entry.dn, base, req.scope)
                 and match(entry)
             ]
         found.sort(key=lambda e: e.dn.sort_key)
@@ -502,8 +490,8 @@ class GrisBackend(Backend):
         direct = provider.search(req, self.suffix)
         if direct is not None:
             self._observe_provider(provider, started, span)
-            # Filter-aware providers answer outside the cache: a source
-            # the materialized view cannot vouch for (see _plan).
+            # Filter-aware providers answer outside the cache: an
+            # unindexed source, matched linearly (see _plan).
             return _Source(direct)
         try:
             entries, produced_at = self.cache.get(provider, now)
@@ -612,6 +600,7 @@ class _PollingSubscription:
         self.push = push
         self.change_types = change_types
         self._timer: Optional[TimerHandle] = None
+        self._stopped = False
         self._last: Dict[DN, Entry] = self._matching()
 
     def _matching(self) -> Dict[DN, Entry]:
@@ -626,23 +615,30 @@ class _PollingSubscription:
         )
 
     def stop(self) -> None:
+        self._stopped = True
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None
 
+    def _emit(self, entry: Entry, change: int) -> None:
+        # A push may cancel this subscription: nothing goes out after it.
+        if self.change_types & change and not self._stopped:
+            self.push(entry.copy(), change)
+
     def _tick(self) -> None:
+        if self._stopped:
+            return
         current = self._matching()
         previous, self._last = self._last, current
         for dn, entry in current.items():
             if dn not in previous:
-                if self.change_types & ChangeType.ADD:
-                    self.push(entry.copy(), ChangeType.ADD)
+                self._emit(entry, ChangeType.ADD)
             elif previous[dn] is not entry and not entry.same_attrs(
                 previous[dn], ignoring=_STAMPS
             ):  # the same shared object is the same generation: unchanged
-                if self.change_types & ChangeType.MODIFY:
-                    self.push(entry.copy(), ChangeType.MODIFY)
+                self._emit(entry, ChangeType.MODIFY)
         for dn, entry in previous.items():
-            if dn not in current and self.change_types & ChangeType.DELETE:
-                self.push(entry.copy(), ChangeType.DELETE)
-        self.start()
+            if dn not in current:
+                self._emit(entry, ChangeType.DELETE)
+        if not self._stopped:
+            self.start()

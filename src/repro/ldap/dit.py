@@ -27,10 +27,11 @@ cached entries, and all — survives a crash and replays on restart
 this).  Indexes are
 rebuilt from the replayed entries at construction time.
 
-This store backs the GRIS/GIIS servers when they hold materialized data;
-providers that generate entries lazily plug in at the backend layer
-instead (paper §4.1: "there is no requirement that an information
-provider explicitly store information about its entity(s)").
+This store backs plain LDAP servers (``DitBackend``, the MDS-1
+baseline).  The GRIS and GIIS serve immutable snapshots instead, and the
+GRIS indexes each with the same posting-list engine (paper §4.1: "there
+is no requirement that an information provider explicitly store
+information about its entity(s)").
 """
 
 from __future__ import annotations
@@ -331,11 +332,12 @@ class DIT:
             return list(self._entries)
 
     def candidates(self, filt: Optional[Filter]) -> Optional[Set[DN]]:
-        """Planner probe for external engines (the GRIS materialized view).
+        """Planner probe: a *copy* of the candidate DN set for *filt*, or
+        None when the filter is not index-answerable.
 
-        Returns a *copy* of the candidate DN set for *filt*, or None when
-        the filter is not index-answerable.  Counts toward the
-        planned/scanned statistics like a search would.
+        Counts toward the planned/scanned statistics like a search
+        would.  No caller in the package; ``benchmarks/gridbench``'s
+        tracer still wraps it by name.
         """
         with self._lock:
             candidates = candidates_for(filt, self._index)

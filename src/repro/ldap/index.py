@@ -7,10 +7,10 @@ index implementation shared by every layer that searches:
 
 * the :class:`~repro.ldap.dit.DIT` keys it by entry DN and consults it
   through the :mod:`~repro.ldap.plan` query planner;
-* GIIS registrant selection keys it by service URL to route queries to
-  the registered children whose namespaces overlap the search base;
-* GIIS pull indexes (``giis/indexes.py``) reuse it through an indexed
-  DIT holding pulled provider snapshots.
+* each served GRIS provider snapshot carries one keyed by served DN,
+  built once per refresh and consulted through the same planner;
+* GIIS registrant selection and the GIIS name index key it by service
+  URL (children whose namespaces overlap a base; names to URLs).
 
 For each configured attribute the index maintains *equality postings*
 (normalized value → key set) and a *presence set* (keys holding any
@@ -22,9 +22,9 @@ assertion — no false positives and, crucially for planner correctness,
 no false negatives.
 
 The index holds no lock of its own: every owner (DIT, GIIS backend)
-already serializes reads and writes under its store lock, and the sets
-returned by :meth:`equality` / :meth:`presence` are live views that must
-only be consumed under that same lock (or copied).
+serializes reads and writes under its store lock, or, like a GRIS
+snapshot, never writes after building.  The sets :meth:`equality` /
+:meth:`presence` return are live views: use them under that lock, or copy.
 """
 
 from __future__ import annotations

@@ -176,8 +176,8 @@ class StorageSpec:
     """A validated storage configuration (the ``"storage"`` object).
 
     ``path`` is the data *directory*; each consumer in one process gets
-    its own namespace under it (``giis-registrations/``, ``gris-view/``)
-    so a server hosting both a GIIS and a GRIS view shares one
+    its own namespace under it (``giis-registrations/``, and
+    ``gris-view/`` for a GRIS's served snapshots), so they share one
     ``--data-dir``.
     """
 

@@ -355,13 +355,10 @@ def main(argv: Optional[Sequence[str]] = None, run_forever: bool = True) -> int:
     if indexed:
         print(f"grid-info-server: indexing attributes {', '.join(indexed)}")
     engine = getattr(gris_backend, "storage", None)
-    view = getattr(gris_backend, "_view", None)
-    if engine is None and view is not None:
-        engine = view.storage
     if engine is not None and engine.backend_name != "memory":
         print(f"grid-info-server: durable storage ({engine.backend_name})")
         recovered = getattr(gris_backend, "replayed_registrations", 0) or getattr(
-            gris_backend, "recovered_view_providers", 0
+            gris_backend, "recovered_providers", 0
         )
         if recovered:
             print(f"grid-info-server: recovered {recovered} persisted record(s)")

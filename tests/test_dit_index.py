@@ -414,7 +414,9 @@ class TestGrisView:
     def test_remove_provider_drops_view_entries(self):
         gris = self._gris(index_attrs=["cpu"])
         self._search(gris, "(cpu=sparc)")
-        assert len(gris._view) > 0
+        served = gris._served["p1"]
+        assert len(served.by_dn) == len(served.index) == 10
+        assert served.index.size("cpu") == 10
         gris.remove_provider("p1")
-        assert len(gris._view) == 0
+        assert "p1" not in gris._served
         assert self._search(gris, "(cpu=sparc)").entries == []

@@ -9,16 +9,19 @@ what that must not change and what it must stop doing:
   produces the same wire frames for random provider sets and requests;
 * the served snapshot is never mutated, and is handed out by identity;
 * a search does O(candidates) entry work, a cache hit none;
-* a refresh is atomic to concurrent readers, with and without the view;
+* a refresh is atomic to concurrent readers, with and without indexes;
 * the server's encode cache hits on GRIS entries, and a refresh
   replaces the cells (new stamps on the wire, never stale bytes);
-* a warm restart over a WAL view serves the persisted stamps;
-* a volatile view holds no marker entries.
+* a warm restart over a WAL serves the persisted stamps, each provider
+  its own, and recovery keeps only whole snapshot branches;
+* a GRIS without durable storage writes nothing;
+* a polling subscription cancelled from its own push stops polling.
 
 Everything here counts calls and compares bytes; nothing times.
 """
 
 import random
+import struct
 import sys
 import threading
 
@@ -41,9 +44,10 @@ from repro.ldap.protocol import (
     encode_message,
 )
 from repro.ldap.server import LdapServer
-from repro.ldap.storage.wal import WalEngine
+from repro.ldap.storage import WAL_HEADER, ChangeOp, MemoryEngine, WalEngine
 from repro.net.clock import Clock, TimerHandle
 from repro.net.sim import Simulator
+from repro.obs.metrics import MetricsRegistry
 from repro.security.acl import attribute_restricted_policy, open_policy
 
 from .test_conclude_once import FakeConn
@@ -94,7 +98,7 @@ def request(base=SUFFIX, scope=Scope.SUBTREE, filt="(objectclass=*)", **kw):
 class ReferenceGris(Backend):
     """Copies, stamps and rebases every cached entry on every request.
 
-    Independent of :mod:`repro.gris.cache` and of the view: its own
+    Independent of :mod:`repro.gris.cache` and of indexing: its own
     TTL table, a first-wins dict merge, a linear filter pass.
     """
 
@@ -489,6 +493,29 @@ def test_polling_ticks_settle_unchanged_entries_by_identity(entry_work, monkeypa
     assert entry_work["stamp"] == 5 * 16 and entry_work["with_dn"] == 5 * 16
 
 
+def test_a_push_that_cancels_its_own_subscription_stops_the_polling():
+    sim = Simulator()
+    state = {"load": "1"}
+    gris = GrisBackend(SUFFIX, clock=sim)
+    gris.add_provider(FunctionProvider(
+        "p",
+        lambda: [Entry(f"hn=h{i}", objectclass="computer", load5=state["load"])
+                 for i in range(2)],
+        cache_ttl=3.0))
+    pushed = []
+
+    def push(entry, change):
+        pushed.append(change)
+        subscription.cancel()
+
+    subscription = gris.subscribe(request(), RequestContext(), push)
+    state["load"] = "2"  # both entries change; the first push cancels
+    sim.run_until(60.0)
+    assert pushed == [ChangeType.MODIFY]  # nothing goes out after the cancel
+    assert gris.subscription_count() == 0
+    assert sim.pending() == 0  # and no poll stays armed
+
+
 # ---------------------------------------------------------------------------
 # Refresh atomicity under concurrent readers
 # ---------------------------------------------------------------------------
@@ -610,19 +637,30 @@ def test_encode_cache_serves_gris_entries_and_a_refresh_replaces_the_cells():
 
 
 # ---------------------------------------------------------------------------
-# Durable view: warm restart serves the persisted snapshot; markers
+# Durability: warm restart serves the persisted snapshots, one branch each
 # ---------------------------------------------------------------------------
 
+BRANCH = "gris-view-provider=site"
 
-def wal_gris(path, clock, ttl=300.0):
-    gris = GrisBackend(SUFFIX, clock=clock, index_attrs=("hn",), storage=WalEngine(path))
-    provider = FunctionProvider(
-        "site",
-        lambda: [Entry(f"hn=h{i}", objectclass="computer", hn=f"h{i}") for i in range(5)],
-        cache_ttl=ttl,
-    )
+
+def hosts(n=5, **attrs):
+    return lambda: [
+        Entry(f"hn=h{i}", objectclass="computer", hn=f"h{i}", **attrs) for i in range(n)
+    ]
+
+
+def wal_gris(path, clock, ttl=300.0, fn=hosts()):
+    metrics = MetricsRegistry()
+    gris = GrisBackend(SUFFIX, clock=clock, index_attrs=("hn",), metrics=metrics,
+                       storage=WalEngine(path, metrics=metrics))
+    provider = FunctionProvider("site", fn, cache_ttl=ttl)
     gris.add_provider(provider)
     return gris, provider
+
+
+def stored(gris):
+    """What the engine holds, by DN text: what a restart recovers from."""
+    return {str(dn): entry for dn, entry in gris.storage.entries.items()}
 
 
 def test_warm_restart_serves_the_persisted_stamps_and_plans(tmp_path):
@@ -632,13 +670,14 @@ def test_warm_restart_serves_the_persisted_stamps_and_plans(tmp_path):
     before = Front(gris, clock=clock).search(request(filt="(hn=h3)"))
     assert provider.invocations == 1
     assert [e.timestamp() for e in entries_of(before)] == [1000.0]
-    markers = [e for e in gris._view.dump() if e.is_a("grisviewmeta")]
-    assert len(markers) == 1 and len(markers[0].get("viewdn")) == 5
+    held = stored(gris)
+    assert held[BRANCH].is_a("grissnapshot") and held[BRANCH].first("viewversion") == "1000.0"
+    assert sorted(held) == sorted([BRANCH] + [f"hn=h{i}, {SUFFIX}, {BRANCH}" for i in range(5)])
     gris.shutdown()
 
     clock.t = 1100.0  # the process was down for a while; the data is 100 s old
     reborn, provider = wal_gris(tmp_path / "view", clock)
-    assert reborn.recovered_view_providers == 1
+    assert reborn.recovered_providers == 1
     appends = reborn.metrics.counter("storage.wal.appends").value
     front = Front(reborn, clock=clock)
     after = front.search(request(filt="(hn=h3)"))
@@ -654,19 +693,155 @@ def test_warm_restart_serves_the_persisted_stamps_and_plans(tmp_path):
     fresh = entries_of(front.search(request(filt="(hn=h3)")))
     assert provider.invocations == 1
     assert [e.timestamp() for e in fresh] == [1400.0]
+    assert reborn.metrics.counter("storage.wal.appends").value > appends
     reborn.remove_provider("site")
-    assert len(reborn._view) == 0  # entries and marker gone
+    assert stored(reborn) == {} and "site" not in reborn._served  # entries and marker gone
     reborn.shutdown()
 
 
-def test_volatile_view_holds_no_marker_entries():
+def test_durable_overlap_recovers_each_providers_own_entries(tmp_path):
+    """Providers a and b both name hn=x, and a wins.  After a restart b's
+    recovered snapshot holds b's entry, so once a drops hn=x the merge
+    serves b's, not a stale copy of a's."""
+    clock = SteppedClock()
+    clock.t = 1000.0
+    a_names_x = [True]
+
+    def start():
+        gris = GrisBackend(SUFFIX, clock=clock, index_attrs=("hn",),
+                           storage=WalEngine(tmp_path / "view"))
+        providers = {}
+        for name, ttl in (("a", 10.0), ("b", 300.0)):
+            def fn(name=name):
+                if name == "a" and not a_names_x[0]:
+                    return []
+                return [Entry("hn=x", objectclass="computer", hn="x", role=name)]
+
+            providers[name] = FunctionProvider(name, fn, cache_ttl=ttl)
+            gris.add_provider(providers[name])
+        return gris, providers
+
+    def roles(gris):
+        found = gris._search_impl(request(filt="(hn=x)"), RequestContext()).entries
+        return [e.first("role") for e in found]
+
+    gris, _ = start()
+    assert roles(gris) == ["a"]
+    gris.shutdown()
+
+    a_names_x[0] = False
+    clock.t = 1050.0  # a's snapshot lapsed while the process was down; b's did not
+    reborn, providers = start()
+    assert reborn.recovered_providers == 2
+    assert roles(reborn) == ["b"]
+    assert providers["a"].invocations == 1 and providers["b"].invocations == 0
+    reborn.shutdown()
+
+
+def test_recovery_deletes_a_malformed_branch_and_the_mirrored_layout(tmp_path):
+    """A branch whose marker is unreadable, and what a mirrored view left
+    (a ``grisviewmeta`` marker listing ``viewdn``, entries at served
+    DNs), are deleted at recovery; their providers re-probe."""
+    engine = WalEngine(tmp_path / "view")
+    for entry in (
+        Entry(f"hn=h0, {SUFFIX}", objectclass="computer", hn="h0"),
+        Entry(BRANCH, attrs={"gris-view-provider": "site", "objectclass": "grisviewmeta",
+                             "viewversion": "900.0", "viewdn": f"hn=h0, {SUFFIX}"}),
+        Entry(f"hn=o1, {SUFFIX}, gris-view-provider=other", objectclass="computer", hn="o1"),
+        Entry("gris-view-provider=other", attrs={
+            "gris-view-provider": "other", "objectclass": "grissnapshot",
+            "viewversion": "not a time"}),
+    ):
+        engine.apply(ChangeOp.put(entry))
+    engine.close()
+
+    clock = SteppedClock()
+    clock.t = 1000.0
+    gris, site = wal_gris(tmp_path / "view", clock)
+    other = FunctionProvider(
+        "other", lambda: [Entry("hn=o1", objectclass="computer", hn="o1")],
+        namespace="hn=o1", cache_ttl=300.0)
+    gris.add_provider(other)
+    assert gris.recovered_providers == 0 and gris._served == {}
+    assert stored(gris) == {}
+
+    found = gris._search_impl(request(filt="(objectclass=computer)"), RequestContext())
+    assert site.invocations == 1 and other.invocations == 1
+    assert len(found.entries) == 6
+    assert len(stored(gris)) == 1 + 5 + 1 + 1  # two whole branches
+    gris.shutdown()
+
+
+def test_a_crash_mid_refresh_recovers_one_generation_whole_or_none(tmp_path):
+    """Cut the log after every record a refresh appends: each restart
+    serves the old generation whole, the new one whole, or re-probes."""
+    clock = SteppedClock()
+    clock.t = 1000.0
+    generation = [1]
+
+    def site():
+        gen = generation[0]
+        span = range(0, 5) if gen == 1 else range(2, 7)
+        return [Entry(f"hn=h{i}", objectclass="computer", hn=f"h{i}", gen=str(gen))
+                for i in span]
+
+    path = tmp_path / "view"
+    gris, _ = wal_gris(path, clock, ttl=10.0, fn=site)
+    gris._search_impl(request(), RequestContext())
+    settled = (path / "wal.log").stat().st_size
+    generation[0] = 2
+    clock.t = 1020.0
+    gris._search_impl(request(), RequestContext())
+    gris.shutdown()
+    raw = (path / "wal.log").read_bytes()
+
+    whole = {
+        1000.0: {f"hn=h{i}, {SUFFIX}" for i in range(0, 5)},
+        1020.0: {f"hn=h{i}, {SUFFIX}" for i in range(2, 7)},
+    }
+    cuts = [settled]
+    while cuts[-1] < len(raw):
+        length, _crc = struct.unpack_from("<II", raw, cuts[-1])
+        cuts.append(cuts[-1] + WAL_HEADER + length)
+    outcomes = []
+    for cut in cuts:
+        crashed = tmp_path / f"cut{cut}"
+        crashed.mkdir()
+        (crashed / "wal.log").write_bytes(raw[:cut])
+        reborn, _ = wal_gris(crashed, clock, ttl=10.0, fn=site)
+        served = reborn._served.get("site")
+        if served is None:
+            assert stored(reborn) == {}
+            outcomes.append(None)
+        else:
+            gens = {e.first("gen") for e in served.by_dn.values()}
+            assert {str(dn) for dn in served.by_dn} == whole[served.produced_at]
+            assert gens == {"1" if served.produced_at == 1000.0 else "2"}
+            outcomes.append(served.produced_at)
+        reborn.shutdown()
+    assert outcomes[0] == 1000.0 and outcomes[-1] == 1020.0
+    assert None in outcomes
+    assert len(cuts) == 1 + 1 + 2 + 5 + 1  # marker out, 2 dropped, 5 puts, marker in
+
+
+def test_a_gris_without_durable_storage_writes_nothing():
+    class CountingEngine(MemoryEngine):
+        def __init__(self):
+            super().__init__()
+            self.ops = []
+
+        def apply(self, op):
+            self.ops.append(op)
+            return super().apply(op)
+
     sim = Simulator()
-    gris, _ = site_gris(sim, ttl=5.0)
+    engine = CountingEngine()
+    gris, _ = site_gris(sim, ttl=5.0, storage=engine)
     for _ in range(3):
-        gris._search_impl(request(), RequestContext())
-        sim.run_until(sim.now() + 10)  # each search refreshes and re-syncs
-    dumped = gris._view.dump()
-    assert len(dumped) == len(gris._served["site"].by_dn) == 16
-    assert not any(e.is_a("grisviewmeta") for e in dumped)
+        gris._search_impl(request(filt="(hn=h1)"), RequestContext())
+        sim.run_until(sim.now() + 10)  # each search refreshes
+    assert len(gris._served["site"].by_dn) == len(gris._served["site"].index) == 16
+    assert gris._search_indexed.value == 3
     gris.remove_provider("site")
-    assert len(gris._view) == 0 and "site" not in gris._served
+    assert "site" not in gris._served
+    assert engine.ops == [] and engine.entries == {}

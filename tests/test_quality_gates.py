@@ -144,6 +144,27 @@ class TestOneDurableEngine:
             assert not {"store", "evict"} & set(vars(cls)), cls
 
 
+class TestGrisServesItsSnapshots:
+    """Each served GRIS snapshot carries its own index; no DIT mirrors it."""
+
+    def test_gris_core_imports_no_dit(self):
+        offenders = [
+            where
+            for where, module, names in _import_statements()
+            if where.startswith("src/repro/gris/core.py:") and "DIT" in names
+        ]
+        assert not offenders
+
+    def test_gris_backend_has_no_view(self):
+        from repro.gris import GrisBackend
+        from repro.ldap.storage import MemoryEngine
+        from repro.net.sim import Simulator
+
+        gris = GrisBackend("o=Grid", Simulator(), index_attrs=("hn",), storage=MemoryEngine())
+        assert not hasattr(gris, "_view")
+        assert not [name for name in (*vars(GrisBackend), *vars(gris)) if "view" in name]
+
+
 class TestGiisSearchBuildsNothing:
     """Per-message work stays per message: a GIIS search neither builds a
     registration entry nor parses a URL, however many providers are in."""

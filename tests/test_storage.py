@@ -13,8 +13,8 @@ Layers:
   and a crash at any point inside ``snapshot()`` recovers the whole tree;
 * snapshot/compaction lifecycle, including the auto-snapshot threshold
   and replay of a stale log over its own snapshot (idempotence);
-* GIIS/GRIS warm restart: registrations and the materialized view
-  survive a process death, over both real transports;
+* GIIS warm restart: registrations survive a process death (the GRIS's
+  warm restart is tested in ``test_gris_snapshot.py``);
 * the ``clear()`` index-gauge regression (per-attribute
   ``ldap.index.size`` must read zero after a wholesale clear).
 """
