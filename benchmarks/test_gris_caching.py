@@ -69,13 +69,15 @@ def run_ttl(ttl: float, seed: int):
 
     poisson_arrivals(sim, QUERY_RATE, query, rng, until=DURATION)
     sim.run_until(DURATION)
+    hits = gris.cache.metrics.counter("gris.cache.hits").value
+    lookups = hits + gris.cache.metrics.counter("gris.cache.misses").value
     return {
         "ttl": ttl,
         "queries": queries["n"],
         "invocations": provider.invocations,
         "cost": provider.total_cost,
         "staleness": staleness.mean,
-        "hit_rate": gris.cache.stats.hit_rate,
+        "hit_rate": hits / lookups if lookups else 0.0,
     }
 
 

@@ -92,7 +92,7 @@ def stampede():
             t.join()
         elapsed = time.perf_counter() - started
         invocations = [p.invocations for p in gris.providers()]
-        return invocations, int(gris.cache.stats.coalesced), elapsed
+        return invocations, int(gris.cache.metrics.counter("gris.cache.coalesced").value), elapsed
     finally:
         gris.shutdown()
 

@@ -6,7 +6,7 @@ relational with joins, and Condor-style matchmaking.
 """
 
 from .bootstrap import SlpDirectoryAdvertiser, discover_directories, discover_via_slp
-from .core import Connector, GiisBackend, GiisIndex, RegistrationSuffixIndex
+from .core import Connector, GiisBackend, GiisIndex
 from .hierarchy import (
     GRRP_DATAGRAM_PORT,
     DatagramGrrpSender,
@@ -38,7 +38,6 @@ __all__ = [
     "LdapGrrpSender",
     "make_registrant",
     "NameIndex",
-    "RegistrationSuffixIndex",
     "PullIndex",
     "UNDEFINED",
     "AdError",

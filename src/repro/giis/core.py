@@ -29,11 +29,13 @@ publishes an immutable :class:`~repro.grip.registry.Generation`; the
 membership hooks and a refresh's fan-out run under the registry's lock
 in mutation order, so indexes and write-ahead log see the membership
 move in one order.  A search takes the generation by reference and
-builds nothing: a DN-map probe below the suffix, the compiled filter
-over the shared entries at or above it, and its providers from
-:class:`RegistrationSuffixIndex`, remembered per *membership* (the
-counter that moves on register, unregister, expiry, rebirth and a
-changed suffix, not on a refresh), which the query cache keys on too.
+takes no lock: a DN-map probe below the suffix, the compiled filter
+over the shared entries at or above it, and its providers from a route
+table built from the generation on the first search after its
+*membership* moved (the counter that moves on register, unregister,
+expiry, rebirth and a changed suffix, not on a refresh), which the
+query cache keys on too.  A cached answer is what the search forwarded,
+child frames still undecoded, replayed by later identical searches.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ import functools
 import threading
 from collections import OrderedDict
 from dataclasses import replace
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple
 
 from ..grip.messages import GrrpError, GrrpMessage, NotificationType
 from ..grip.registry import Applied, Generation, Registration, SoftStateRegistry
@@ -58,13 +60,11 @@ from ..ldap.backend import (
     stream_outcome,
 )
 from ..ldap import ber
-from ..ldap.attributes import CASE_EXACT
 from ..ldap.dit import Scope, in_scope
 from ..ldap.filter import compile_filter
 from ..ldap.client import LdapClient, SearchResult
 from ..ldap.pool import LdapClientPool
 from ..ldap.dn import DN, DNError, RDN
-from ..ldap.index import AttributeIndex
 from ..ldap.entry import Entry, WireCache
 from ..ldap.protocol import (
     AddRequest,
@@ -83,7 +83,6 @@ from ..obs.trace import parse_traceparent
 
 __all__ = [
     "GiisIndex",
-    "RegistrationSuffixIndex",
     "GiisBackend",
     "Connector",
     "CHAIN_DEPTH_OID",
@@ -105,10 +104,13 @@ CHAIN_DEPTH_OID = "1.3.6.1.4.1.57264.1.1"
 MALFORMED_CHAIN_DEPTH = 1 << 30
 
 # Seconds the self-monitor entry is held before it is recomputed (the
-# GRIS bounds the same entry the same way), and routes remembered
-# before the memo resets.
+# GRIS bounds the same entry the same way).
 _SELF_MONITOR_TTL = 1.0
-_MAX_ROUTES = 1024
+
+# Warm sockets pooled per child, and concluded answers the query cache
+# holds before it evicts the least recently used.
+POOL_SIZE = 2
+MAX_QUERY_CACHE = 256
 
 
 def _read_chain_depth(controls) -> int:
@@ -147,80 +149,44 @@ class GiisIndex:
         self.on_expire(registration)
 
 
-def _canonical_dn(dn: DN) -> str:
-    """A canonical string form two equal DNs always share.
+class _Routes(NamedTuple):
+    """Registrant selection for one membership, built from its generation.
 
-    ``str(dn)`` is not canonical (AVA order in multi-valued RDNs, case,
-    whitespace), so the registrant-selection index keys postings by the
-    repr of the normalized RDN tuple instead — exact by construction.
-    """
-    return repr(dn.normalized())
-
-
-class RegistrationSuffixIndex(GiisIndex):
-    """Registrant selection on the shared :class:`AttributeIndex` engine.
-
-    Query routing must find the registrations whose advertised namespace
-    intersects a search base: ``suffix.is_within(base)`` or
-    ``base.is_within(suffix)``.  Instead of DN-comparing every active
-    registration per query, each registration (keyed by service URL) is
-    indexed under two synthetic attributes:
-
-    * ``regwithin`` — the canonical form of every ancestor-or-self of
-      its suffix, so one posting lookup on the query base yields all
-      suffixes *within* the base;
-    * ``regsuffix`` — the canonical suffix itself, probed with the query
-      base's ancestor-or-self chain to find suffixes *containing* the
-      base.
-
-    Both use exact matching over canonical DN forms, so the candidate
-    set equals the DN-math answer.  It has no lock of its own: the GIIS
-    drives and reads it under the registry lock, from the membership
-    hooks; a refresh re-indexes only when the advertised suffix changed.
+    Keys are normalized DN tuples (leaf first, so an ancestor's key is a
+    tail of its descendant's); values are service URLs in membership
+    order.  Never mutated once built.
     """
 
-    WITHIN = "regwithin"
-    EXACT = "regsuffix"
+    membership: int
+    rank: Dict[str, int]  # service URL -> place in membership order
+    exact: Dict[tuple, List[str]]  # suffix -> registrations advertising it
+    within: Dict[tuple, List[str]]  # DN -> registrations whose suffix is at/below it
 
-    def __init__(self):
-        self._index = AttributeIndex(
-            (self.WITHIN, self.EXACT),
-            rules={self.WITHIN: CASE_EXACT, self.EXACT: CASE_EXACT},
-        )
-        self._indexed: Dict[str, str] = {}  # service URL -> suffix as indexed
+    @classmethod
+    def build(cls, gen: Generation) -> "_Routes":
+        exact: Dict[tuple, List[str]] = {}
+        within: Dict[tuple, List[str]] = {}
+        for url, record in gen.by_url.items():
+            if record.suffix_dn is None:  # malformed suffix: never a target
+                continue
+            key = record.suffix_dn.normalized()
+            exact.setdefault(key, []).append(url)
+            for cut in range(len(key) + 1):
+                within.setdefault(key[cut:], []).append(url)
+        rank = {url: place for place, url in enumerate(gen.by_url)}
+        return cls(gen.membership, rank, exact, within)
 
-    def _values(self, registration: Registration) -> Dict[str, List[str]]:
-        suffix = registration.suffix_dn
-        if suffix is None:  # malformed suffix: never a target
-            return {}
-        chain = [_canonical_dn(suffix)]
-        chain.extend(_canonical_dn(a) for a in suffix.ancestors())
-        return {self.WITHIN: chain, self.EXACT: [_canonical_dn(suffix)]}
-
-    def on_register(self, registration: Registration) -> None:
-        values = self._values(registration)
-        url = registration.service_url
-        self._index.discard(url)
-        self._index.add(url, lambda a: values.get(a, ()))
-        self._indexed[url] = registration.suffix_text
-
-    def on_refresh(self, registration: Registration) -> None:
-        # A refresh may legitimately advertise a new suffix (§5.2).
-        if self._indexed.get(registration.service_url) != registration.suffix_text:
-            self.on_register(registration)
-
-    def on_expire(self, registration: Registration) -> None:
-        self._index.discard(registration.service_url)
-        self._indexed.pop(registration.service_url, None)
-
-    def targets(self, base: DN) -> Set[str]:
-        """Service URLs whose namespace intersects *base*."""
-        probes = [_canonical_dn(base)]
-        probes.extend(_canonical_dn(a) for a in base.ancestors())
-        eligible: Set[str] = set(self._index.equality(self.WITHIN, probes[0]) or ())
-        for probe in probes:
-            eligible.update(self._index.equality(self.EXACT, probe) or ())
-        return eligible
+    def targets(self, base: DN) -> List[str]:
+        """Service URLs whose suffix contains *base* or is within it,
+        in membership order; read-only."""
+        key = base.normalized()
+        found = self.within.get(key, [])
+        # Suffixes strictly above *base*: disjoint from those at or below.
+        for cut in range(1, len(key) + 1):
+            above = self.exact.get(key[cut:])
+            if above:
+                found = sorted(found + above, key=self.rank.__getitem__)
+        return found
 
 
 class _QueryCacheSlot:
@@ -250,9 +216,7 @@ class GiisBackend(Backend):
         credential=None,
         max_chain_depth: int = 8,
         metrics: Optional[MetricsRegistry] = None,
-        max_query_cache: int = 256,
         tracer=None,
-        pool_size: int = 2,
         storage: Optional[StorageEngine] = None,
     ):
         if mode not in ("chain", "referral"):
@@ -271,9 +235,6 @@ class GiisBackend(Backend):
         # connection is opened with a GSI bind as this credential.
         self.credential = credential
         self.max_chain_depth = max_chain_depth
-        if max_query_cache < 1:
-            raise ValueError("max_query_cache must be >= 1")
-        self.max_query_cache = max_query_cache
         self.tracer = tracer
         # Chaining fan-out instrumentation.
         self.metrics = metrics or MetricsRegistry()
@@ -287,7 +248,6 @@ class GiisBackend(Backend):
         self.metrics.gauge_fn("giis.query_cache.size", lambda: len(self._query_cache))
         self._chain_cancelled = self.metrics.counter("giis.chain.cancelled")
         self._relay_entries = self.metrics.counter("giis.relay.entries")
-        self._relay_fallback = self.metrics.counter("giis.relay.fallback")
         self._child_abandoned = self.metrics.counter("giis.child.abandoned")
         self._child_latency = self.metrics.histogram("giis.child.seconds")
         self._fanout = self.metrics.histogram(
@@ -304,19 +264,13 @@ class GiisBackend(Backend):
             metrics=self.metrics,
             suffix=self.suffix,
         )
-        # Registrant selection is the first pluggable index: maintained
-        # from the same hooks as the rest, consulted by _route instead
-        # of per-query DN math over every active registration.
-        self._reg_index = RegistrationSuffixIndex()
-        self.indexes: List[GiisIndex] = [self._reg_index]
-        # (membership, base) -> service URLs in membership order: what
-        # the index answered, reachable while that membership stands.
-        self._routes: Dict[Tuple[int, DN], Tuple[str, ...]] = {}
+        self.indexes: List[GiisIndex] = []
+        # Registrant selection reads the generation, not a hook: _route
+        # swaps in a table rebuilt from it when the membership moved.
+        self._routes = _Routes.build(self.registry.generation())
         # Persistent child connections: chained queries pipeline over a
         # few warm sockets per child instead of dialing per query.
-        self.pool = LdapClientPool(
-            self._dial_child, size=pool_size, metrics=self.metrics
-        )
+        self.pool = LdapClientPool(self._dial_child, size=POOL_SIZE, metrics=self.metrics)
         # LRU over query outcomes: most-recently-hit keys live at the
         # tail, eviction pops the head.  Lookups run on executor
         # workers and stores on child receive threads, so every access
@@ -546,20 +500,13 @@ class GiisBackend(Backend):
         namespace intersects *base*, in membership order (chaining
         fan-out and merge precedence depend on it)."""
         gen = self.registry.generation()
-        urls = self._routes.get((gen.membership, base))
-        if urls is None:
-            # The index moves with the membership under the registry
-            # lock, so under it the two agree.
-            with self.registry.lock:
-                gen = self.registry.generation()
-                by_url = gen.by_url
-                urls = tuple(
-                    sorted(self._reg_index.targets(base), key=lambda u: by_url[u].seq)
-                )
-                if len(self._routes) >= _MAX_ROUTES:
-                    self._routes.clear()
-                self._routes[(gen.membership, base)] = urls
-        return gen, [gen.by_url[url] for url in urls]
+        routes = self._routes
+        if routes.membership != gen.membership:
+            # A refresh keeps the membership and so the service URLs; two
+            # searches racing here build equal tables, the last one kept.
+            routes = self._routes = _Routes.build(gen)
+        by_url = gen.by_url
+        return gen, [by_url[url] for url in routes.targets(base)]
 
     def naming_contexts(self):
         return [str(self.suffix)]
@@ -586,11 +533,11 @@ class GiisBackend(Backend):
 
         A transparent request (``ctx.transparent``) is relayed: child
         frames are forwarded as undecoded
-        :class:`~repro.ldap.protocol.RawEntry` objects, and the parent's
-        size limit is forwarded to the children.  With a query cache
-        (``cache_ttl > 0``) every entry is decoded instead, the
-        concluded answer is stored, and later identical searches replay
-        it without touching a child.
+        :class:`~repro.ldap.protocol.RawEntry` objects, and without a
+        query cache the parent's size limit is forwarded to the
+        children.  With a query cache (``cache_ttl > 0``) what was
+        forwarded is recorded, stored when every child answered, and
+        replayed by later identical searches without touching a child.
         """
         token = ctx.token
         handle = SearchHandle(token)
@@ -623,7 +570,7 @@ class GiisBackend(Backend):
             if cached is not None:
                 if ctx.trace is not None:
                     ctx.trace.child("giis.cache", hit=True).finish()
-                return stream_outcome(cached, ctx, on_entry, on_done)
+                return stream_outcome(cached, ctx, self._replayer(ctx, on_entry), on_done)
 
         local = SearchOutcome(
             entries=self._local(gen, base, req.scope, compile_filter(req.filter))
@@ -645,15 +592,13 @@ class GiisBackend(Backend):
         collector = _StreamCollector(
             self, len(targets), on_entry, on_done, ctx, cache_key
         )
-        if ctx.transparent and not collector.relay:
-            self._relay_fallback.inc()
         # Relaying means no parent-side projection or ACL can drop a
         # child entry, so the parent's size budget is safe to forward;
         # children at their budget answer sizeLimitExceeded, treated as
         # partial success.  A caching GIIS never forwards it: a
         # truncated answer must not satisfy later, larger queries (the
         # cache key carries no size limit).
-        budget = req.size_limit if collector.relay else 0
+        budget = req.size_limit if ctx.transparent and cache_key is None else 0
         # Abandon/Unbind/disconnect/deadline/size limit all land here:
         # stop waiting on children, cancel their timers, Abandon whatever
         # is still in flight, and never call on_done.
@@ -787,7 +732,7 @@ class GiisBackend(Backend):
     # -- query cache --------------------------------------------------------------------
 
     def _cached_outcome(self, key) -> Optional[SearchOutcome]:
-        """A private copy of the live answer cached under *key*, or None.
+        """The live answer cached under *key*, or None; shared, read-only.
 
         A miss also evicts TTL-expired slots: without that, distinct
         one-off queries (and answers keyed on a membership that has
@@ -809,10 +754,24 @@ class GiisBackend(Backend):
                 return None
             self._query_cache.move_to_end(key)
             self._qcache_hits.inc()
-        return _copy_outcome(slot.outcome)
+        return slot.outcome
+
+    def _replayer(self, ctx: RequestContext, on_entry: Callable[[object], None]):
+        """*on_entry* for a cached answer: a recorded child frame is
+        relayed as is, or decoded for a request that is not transparent."""
+
+        def replay(item) -> None:
+            if isinstance(item, RawEntry):
+                if not ctx.transparent:
+                    item = item.to_entry()
+                else:
+                    self._relay_entries.inc()
+            on_entry(item)
+
+        return replay
 
     def _store_query_result(self, key, slot: _QueryCacheSlot) -> None:
-        """Cache one concluded answer, holding the cache to max_query_cache.
+        """Cache one concluded answer, holding the cache to MAX_QUERY_CACHE.
 
         The cache is an LRU: hits and (re)inserts move the key to the
         tail, so eviction pops the least-recently-used head in O(1).
@@ -820,7 +779,7 @@ class GiisBackend(Backend):
         with self._query_cache_lock:
             self._query_cache[key] = slot
             self._query_cache.move_to_end(key)
-            while len(self._query_cache) > self.max_query_cache:
+            while len(self._query_cache) > MAX_QUERY_CACHE:
                 self._query_cache.popitem(last=False)
                 self._qcache_evictions.inc()
 
@@ -848,8 +807,10 @@ class _StreamCollector:
     ends it early: outstanding child timers are cancelled, in-flight
     child searches Abandoned, late answers dropped, and neither
     callback fires again.  An answer headed for the query cache
-    (*cache_key*) is recorded as it is forwarded and stored on
-    conclusion, never on abort.
+    (*cache_key*) is recorded as it is forwarded — child frames as
+    detached :class:`RawEntry` objects, local entries as the served
+    objects — and stored on conclusion, never on abort nor when a child
+    failed or timed out.
 
     Child connections deliver on independent receive threads, so every
     callback serializes under one lock — reentrant, because forwarding
@@ -871,10 +832,8 @@ class _StreamCollector:
         self.on_done = on_done
         self.token = ctx.token
         self.cache_key = cache_key
-        # Forward child frames undecoded?  Only when the front end
-        # serves them verbatim and they are not bound for the query
-        # cache, whose entries must be decoded.
-        self.relay = ctx.transparent and cache_key is None
+        # Forward child frames undecoded: the front end serves them verbatim.
+        self.relay = ctx.transparent
         self.span = (
             ctx.trace.child("giis.chain", fanout=pending, relay=self.relay)
             if ctx.trace is not None
@@ -883,7 +842,9 @@ class _StreamCollector:
         self.pending = pending
         self.finished = False
         self.seen: Set[DN] = set()
-        self.recorded: List[Entry] = []  # copies bound for the query cache
+        # What was forwarded, bound for the query cache; None once the
+        # answer is not to be stored (no cache, or a child is missing).
+        self.recorded: Optional[List[object]] = [] if cache_key is not None else None
         self.referrals: List[str] = []
         self.truncated = False
         self.responded: set = set()
@@ -950,13 +911,13 @@ class _StreamCollector:
         if key in self.seen:
             return
         self.seen.add(key)
+        if self.recorded is not None:
+            self.recorded.append(item.detach() if raw else item)
         if raw:
             if self.relay:
                 self.giis._relay_entries.inc()
             else:
                 item = item.to_entry()
-        if self.cache_key is not None:
-            self.recorded.append(item.copy())
         self.on_entry(item)
 
     def child_entry(self, url: str, item) -> None:
@@ -987,6 +948,7 @@ class _StreamCollector:
                 return
             self.responded.add(url)
             self._children.pop(url, None)
+            self.recorded = None  # an answer short of a child: never cached
             self._decrement()
 
     def child_timed_out(self, url: str) -> None:
@@ -995,6 +957,7 @@ class _StreamCollector:
                 return
             self.responded.add(url)
             self.giis._child_timeouts.inc()
+            self.recorded = None
             # The child is still grinding on a query nobody will read —
             # tell it to stop before giving up the slot.
             child = self._children.pop(url, None)
@@ -1019,17 +982,9 @@ class _StreamCollector:
                 else LdapResult()
             ),
         )
-        if self.cache_key is not None:
+        if self.recorded is not None:
             cached = SearchOutcome(self.recorded, list(self.referrals), outcome.result)
             self.giis._store_query_result(
                 self.cache_key, _QueryCacheSlot(cached, self.giis.clock.now())
             )
         self.on_done(outcome)
-
-
-def _copy_outcome(outcome: SearchOutcome) -> SearchOutcome:
-    return SearchOutcome(
-        entries=[e.copy() for e in outcome.entries],
-        referrals=list(outcome.referrals),
-        result=outcome.result,
-    )

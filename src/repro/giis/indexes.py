@@ -9,8 +9,9 @@
   entries; a subclass only says how to shape them for its queries.
 
 The name index sits on the shared index engine
-(:class:`~repro.ldap.index.AttributeIndex`) keyed by service URL, as
-registrant selection (``core.RegistrationSuffixIndex``) does.
+(:class:`~repro.ldap.index.AttributeIndex`) keyed by service URL.
+Registrant selection is not a plugged index: the GIIS routes from a
+table built from the registry's generation.
 """
 
 from __future__ import annotations

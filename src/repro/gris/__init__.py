@@ -6,7 +6,7 @@ the shared LDAP server front end, with namespace-pruned dispatch,
 per-provider TTL caching, and polling subscriptions.
 """
 
-from .cache import CacheStats, ProviderCache
+from .cache import ProviderCache
 from .core import GrisBackend
 from .host import (
     DynamicHostProvider,
@@ -38,7 +38,6 @@ from .storage import (
 )
 
 __all__ = [
-    "CacheStats",
     "ProviderCache",
     "GrisBackend",
     "DynamicHostProvider",

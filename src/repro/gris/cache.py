@@ -47,45 +47,12 @@ from ..net.clock import Clock
 from ..obs.metrics import MetricsRegistry
 from .provider import InformationProvider, ProviderError
 
-__all__ = ["CacheStats", "ProviderCache"]
+__all__ = ["ProviderCache"]
 
 # Submits a zero-argument refresh task for background execution; returns
 # False when the pool refuses (saturated), in which case the cache
 # refreshes inline instead.
 RefreshRunner = Callable[[Callable[[], None]], bool]
-
-
-class CacheStats:
-    """Read view over the registry-backed cache counters.
-
-    ``hits``, ``misses``, ``failures``, ``stale_served``, ``coalesced``,
-    ``revalidations`` and ``backoff_skips`` read (as ints) the counters
-    that surface under ``cn=monitor``; ``hit_rate`` derives from them.
-    """
-
-    _COUNTERS = {
-        "hits": "gris.cache.hits",
-        "misses": "gris.cache.misses",
-        "failures": "gris.cache.failures",
-        "stale_served": "gris.cache.stale_served",
-        "coalesced": "gris.cache.coalesced",
-        "revalidations": "gris.cache.revalidations",
-        "backoff_skips": "gris.provider.backoff_skips",
-    }
-
-    def __init__(self, metrics: MetricsRegistry):
-        for attr, metric in self._COUNTERS.items():
-            setattr(self, f"_{attr}", metrics.counter(metric))
-
-    def __getattr__(self, attr: str) -> int:
-        if attr in self._COUNTERS:
-            return int(getattr(self, f"_{attr}").value)
-        raise AttributeError(attr)
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
 
 
 class _CacheSlot(NamedTuple):  # one immutable snapshot; what get() returns
@@ -129,7 +96,15 @@ class ProviderCache:
         refresh_runner: Optional[RefreshRunner] = None,
     ):
         self.metrics = metrics or MetricsRegistry()
-        self.stats = CacheStats(self.metrics)
+        # The counters cn=monitor publishes; tests read them there too.
+        counter = self.metrics.counter
+        self._hits = counter("gris.cache.hits")
+        self._misses = counter("gris.cache.misses")
+        self._failures = counter("gris.cache.failures")
+        self._stale_served = counter("gris.cache.stale_served")
+        self._coalesced = counter("gris.cache.coalesced")
+        self._revalidations = counter("gris.cache.revalidations")
+        self._backoff_skips = counter("gris.provider.backoff_skips")
         self.clock = clock
         self.stale_while_revalidate = stale_while_revalidate
         self.backoff_base = backoff_base
@@ -161,7 +136,7 @@ class ProviderCache:
             state = self._states.setdefault(name, _ProviderState())
             slot = state.slot
             if slot is not None and ttl > 0 and now - slot.produced_at <= ttl:
-                self.stats._hits.inc()
+                self._hits.inc()
                 return slot
             stale_ok = (
                 slot is not None
@@ -174,17 +149,17 @@ class ProviderCache:
                 if stale_ok:
                     # A refresh is already under way and the snapshot is
                     # within the serve window: answer from it now.
-                    self.stats._hits.inc()
+                    self._hits.inc()
                     return slot
-                self.stats._misses.inc()
-                self.stats._coalesced.inc()
+                self._misses.inc()
+                self._coalesced.inc()
             elif now < state.retry_at:
                 # Negative cache: the provider failed recently; don't
                 # burn a provider invocation (or a pool slot) on it.
-                self.stats._misses.inc()
-                self.stats._backoff_skips.inc()
+                self._misses.inc()
+                self._backoff_skips.inc()
                 if slot is not None and serve_stale_on_failure:
-                    self.stats._stale_served.inc()
+                    self._stale_served.inc()
                     return slot
                 raise ProviderError(
                     f"provider {name!r} backing off after "
@@ -194,11 +169,11 @@ class ProviderCache:
                 flight = state.flight = _Flight()
                 leader = True
                 if stale_ok and self._runner is not None:
-                    self.stats._hits.inc()
-                    self.stats._revalidations.inc()
+                    self._hits.inc()
+                    self._revalidations.inc()
                     background = True
                 else:
-                    self.stats._misses.inc()
+                    self._misses.inc()
 
         if leader:
             if background:
@@ -215,7 +190,7 @@ class ProviderCache:
             with self._lock:
                 slot = self._states[name].slot
             if slot is not None and serve_stale_on_failure:
-                self.stats._stale_served.inc()
+                self._stale_served.inc()
                 return slot
             raise flight.error
         return flight.slot
@@ -261,7 +236,7 @@ class ProviderCache:
                 else ProviderError(f"provider {name!r} failed: {exc}")
             )
             failed_at = self._now(now)
-            self.stats._failures.inc()
+            self._failures.inc()
             with self._lock:
                 state = self._states.setdefault(name, _ProviderState())
                 state.failures += 1

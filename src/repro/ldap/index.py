@@ -9,8 +9,7 @@ index implementation shared by every layer that searches:
   through the :mod:`~repro.ldap.plan` query planner;
 * each served GRIS provider snapshot carries one keyed by served DN,
   built once per refresh and consulted through the same planner;
-* GIIS registrant selection and the GIIS name index key it by service
-  URL (children whose namespaces overlap a base; names to URLs).
+* the GIIS name index keys it by service URL (names to URLs).
 
 For each configured attribute the index maintains *equality postings*
 (normalized value → key set) and a *presence set* (keys holding any
@@ -42,7 +41,7 @@ class AttributeIndex:
     """Equality + presence postings over an attribute subset.
 
     Keys are opaque hashables (entry DNs for the DIT, service URLs for
-    GIIS registrant selection).  ``get_values`` callables map an
+    the GIIS name index).  ``get_values`` callables map an
     attribute name to the stored values for one key — e.g. a bound
     ``Entry.get`` — so the index never retains entry objects.
     """

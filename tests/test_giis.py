@@ -4,7 +4,7 @@ import sys
 import threading
 import time
 
-from repro.giis import GiisBackend, NameIndex
+from repro.giis import GiisBackend, NameIndex, core
 from repro.giis.core import _QueryCacheSlot
 from repro.grip.messages import GrrpMessage, NotificationType
 from repro.ldap.backend import RequestContext, SearchOutcome
@@ -218,9 +218,10 @@ class TestChaining:
         assert giis.backend.metrics.counter("giis.chained").value == chained  # served from cache
         assert giis.backend.metrics.counter("giis.query_cache.hits").value == 1
 
-    def test_query_cache_bounded_by_max_entries(self):
+    def test_query_cache_bounded_by_max_entries(self, monkeypatch):
+        monkeypatch.setattr(core, "MAX_QUERY_CACHE", 2)
         tb = GridTestbed(seed=1)
-        giis, _ = build_vo(tb, n_gris=1, cache_ttl=1e9, max_query_cache=2)
+        giis, _ = build_vo(tb, n_gris=1, cache_ttl=1e9)
         client = tb.client("user", giis)
         backend = giis.backend
         for oc in ("computer", "queue", "loadaverage", "network"):
@@ -255,6 +256,35 @@ class TestChaining:
         tb.run(1.0)
         out = client.search("o=Grid", filter="(objectclass=computer)")
         assert sorted(e.first("hn") for e in out) == ["r0", "rX"]
+
+    def test_an_answer_missing_a_failed_child_is_not_cached(self):
+        tb = GridTestbed(seed=1)
+        giis, children = build_vo(tb, n_gris=2, cache_ttl=1e9)
+        client = tb.client("user", giis)
+        children[0].node.crash()
+        out = client.search("o=Grid", filter="(objectclass=computer)")
+        assert [e.first("hn") for e in out] == ["r1"]  # partial results (§2.2)
+        children[0].node.recover()
+        out = client.search("o=Grid", filter="(objectclass=computer)")
+        assert sorted(e.first("hn") for e in out) == ["r0", "r1"]
+        assert giis.backend.metrics.counter("giis.query_cache.hits").value == 0
+        assert len(giis.backend._query_cache) == 1  # the whole answer
+
+    def test_an_answer_missing_a_timed_out_child_is_not_cached(self):
+        tb = GridTestbed(seed=1)
+        giis, _ = build_vo(tb, n_gris=1, cache_ttl=1e9, child_timeout=2.0)
+        tb.host("blackhole").listen(2135, lambda conn: None)  # accept, never respond
+        giis.backend.apply_grrp(
+            reg_msg(url="ldap://blackhole:2135/", suffix="hn=bh, o=Grid",
+                    ts=tb.sim.now(), ttl=1e6)
+        )
+        client = tb.client("user", giis)
+        for _ in range(2):
+            out = client.search("o=Grid", filter="(objectclass=computer)")
+            assert [e.first("hn") for e in out] == ["r0"]
+        assert giis.backend.metrics.counter("giis.child.timeouts").value == 2
+        assert giis.backend.metrics.counter("giis.query_cache.hits").value == 0
+        assert len(giis.backend._query_cache) == 0
 
 
 def _answer(result):
@@ -319,21 +349,26 @@ class TestQueryCacheConsumesTheStream:
         assert done == [] and len(giis.backend._query_cache) == 0
         assert self._counter(giis, "giis.chain.cancelled") == 1
 
-    def test_transparent_requests_fall_back_to_the_decoded_lane(self):
+    def test_a_caching_miss_and_its_hit_both_relay(self):
         tb = GridTestbed(seed=1)
         giis, _ = build_vo(tb, n_gris=2, cache_ttl=30.0)
         client = tb.client("user", giis)  # open policy: transparent
-        for _ in range(2):  # a miss that chains, then a hit that does not
-            client.search("o=Grid", filter="(objectclass=computer)")
-        assert self._counter(giis, "giis.relay.fallback") == 1
-        assert self._counter(giis, "giis.relay.entries") == 0
-        assert giis.server.metrics.counter("ldap.entries.relayed").value == 0
+        relayed = giis.server.metrics.counter("ldap.entries.relayed")
+        client.search("o=Grid", filter="(objectclass=computer)")  # a miss that chains
+        assert self._counter(giis, "giis.relay.entries") == relayed.value == 2
+        chained = self._counter(giis, "giis.chained")
+        out = client.search("o=Grid", filter="(objectclass=computer)")  # a hit
+        assert sorted(e.first("hn") for e in out) == ["r0", "r1"]
+        assert self._counter(giis, "giis.query_cache.hits") == 1
+        assert self._counter(giis, "giis.chained") == chained
+        assert self._counter(giis, "giis.relay.entries") == relayed.value == 4
 
-    def test_concurrent_lookups_stores_and_clears_keep_the_cache_sound(self):
+    def test_concurrent_lookups_stores_and_clears_keep_the_cache_sound(self, monkeypatch):
         """Lookups sweep on executor workers, stores arrive on child
         receive threads and GRRP intake moves the membership the cache
         keys on: all at once, nothing raises and the bound holds."""
-        giis = GiisBackend("o=Grid", clock=Simulator(), cache_ttl=60.0, max_query_cache=32)
+        monkeypatch.setattr(core, "MAX_QUERY_CACHE", 32)
+        giis = GiisBackend("o=Grid", clock=Simulator(), cache_ttl=60.0)
         giis.apply_grrp(reg_msg(suffix="o=Grid"))
         comer = reg_msg(url="ldap://gris2:2135/", suffix="o=Grid")
         goer = GrrpMessage(comer.service_url, NotificationType.UNREGISTER)
@@ -378,7 +413,7 @@ class TestQueryCacheConsumesTheStream:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
-        assert len(giis._query_cache) <= giis.max_query_cache
+        assert len(giis._query_cache) <= core.MAX_QUERY_CACHE
 
 
 class TestReferralMode:

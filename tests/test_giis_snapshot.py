@@ -32,9 +32,10 @@ import time
 from collections import Counter
 from dataclasses import replace
 
-from hypothesis import settings, strategies as st
+from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, rule
 
+from repro.giis import core
 from repro.giis.core import GiisBackend
 from repro.grip.messages import GrrpMessage, NotificationType
 from repro.grip.registry import SoftStateRegistry
@@ -122,6 +123,7 @@ class ReferenceGiis(GiisBackend):
 # ---------------------------------------------------------------------------
 
 CHILDREN = ("c0", "c1", "c2")
+SPARE = "c3"  # served by every World, registered by no state machine
 URLS = [f"ldap://{host}:389/" for host in CHILDREN] + [
     "ldap://ghost:389/",  # registers, never answers a dial
     "not-an-ldap-url",
@@ -149,12 +151,12 @@ PUBLIC = ["objectclass", "o", "hn", "dev", "url", "regmeta-suffix", "mds-timesta
 
 class World:
     """A GIIS of class *cls* behind two served front ends (one
-    transparent, one ACL-restricted), three child GRISes, one client."""
+    transparent, one ACL-restricted), four child GRISes, one client."""
 
     def __init__(self, cls, mode):
         self.sim = Simulator()
         net = SimNetwork(self.sim, LinkModel(latency=0.001))  # no jitter: same order
-        for host in CHILDREN:
+        for host in CHILDREN + (SPARE,):
             dit = DIT()
             dit.add(Entry(f"hn={host}, {GRID}", objectclass="computer", hn=host))
             dit.add(Entry(f"dev=d0, hn={host}, {GRID}", objectclass="device", dev="d0",
@@ -343,29 +345,70 @@ def test_a_search_answers_from_one_generation_while_the_next_is_published():
     assert len(referrals) == 6 and referrals[-1].startswith("ldap://late")
 
 
-def test_routes_are_remembered_per_membership_and_follow_a_changed_suffix():
+def test_routes_are_remembered_per_membership_and_follow_a_changed_suffix(monkeypatch):
     sim = Simulator()
     giis = vo(sim)
-    probes = [0]
-    targets = giis._reg_index.targets
-    giis._reg_index.targets = lambda base: (probes.__setitem__(0, probes[0] + 1), targets(base))[1]
+    builds = []
+    build = core._Routes.build
+    monkeypatch.setattr(
+        core._Routes, "build", lambda gen: (builds.append(gen.membership), build(gen))[1]
+    )
 
     def referred(base):
         return listing(giis, base, Scope.SUBTREE)[1]
 
     membership = giis.registry.generation().membership
     assert referred(f"hn=n1, {GRID}") == [f"ldap://n1/hn=n1, {GRID}"]
-    for ts in (1.0, 2.0):  # plain refreshes: same membership, same remembered route
+    for ts in (1.0, 2.0):  # plain refreshes: same membership, same table
         giis.apply_grrp(reg("ldap://n1:389/", f"hn=n1, {GRID}", ts))
         assert referred(f"hn=n1, {GRID}") == [f"ldap://n1/hn=n1, {GRID}"]
-    assert probes == [1] and giis.registry.generation().membership == membership
+    assert builds == [membership] and giis.registry.generation().membership == membership
 
     giis.apply_grrp(reg("ldap://n1:389/", f"hn=moved, {GRID}", 3.0))
     assert giis.registry.generation().membership == membership + 1
     assert referred(f"hn=n1, {GRID}") == []
     assert referred(f"hn=moved, {GRID}") == [f"ldap://n1/hn=moved, {GRID}"]
     assert len(referred(GRID)) == 6 and referred(GRID)[1] == f"ldap://n1/hn=moved, {GRID}"
-    assert probes == [4]
+    assert builds == [membership, membership + 1]
+
+
+# Suffix spellings that name the same DN (case, whitespace, AVA order in a
+# multi-valued RDN), their neighbours, and ones that do not parse.
+RDNS = ["hn=a", "HN=A", "hn= a", "hn=b", "cn=x+hn=a", "HN=A + CN=X", "o=Grid", "o=grid",
+        "O=GRID ", "ou=o1"]
+MALFORMED = ["not a dn,,", "hn=a,,o=Grid", "=x"]
+dns = st.lists(st.sampled_from(RDNS), max_size=3).map(", ".join)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    suffixes=st.lists(st.one_of(dns, st.sampled_from(MALFORMED)), min_size=1, max_size=8),
+    moves=st.lists(st.tuples(st.integers(0, 7), st.one_of(dns, st.just(None))), max_size=4),
+    bases=st.lists(dns, min_size=1, max_size=4),
+)
+def test_route_is_exactly_the_namespace_intersection_in_membership_order(suffixes, moves, bases):
+    """Whatever the spelling, _route answers what DN math over every
+    live registration answers, across suffix changes and departures."""
+    giis = GiisBackend(GRID, clock=Simulator())
+    urls = [f"ldap://h{k}:389/" for k in range(len(suffixes))]
+    for url, suffix in zip(urls, suffixes):
+        giis.apply_grrp(reg(url, suffix, 0.0))
+
+    def check():
+        for text in bases:
+            base = DN.parse(text)
+            expected = [
+                r.service_url for r in giis.registry.active()
+                if r.suffix_dn is not None
+                and (r.suffix_dn.is_within(base) or base.is_within(r.suffix_dn))
+            ]
+            assert [r.service_url for r in giis._route(base)[1]] == expected
+
+    check()
+    for k, suffix in moves:  # a changed suffix, or a departure
+        url = urls[k % len(urls)]
+        giis.apply_grrp(unreg(url, 0.0) if suffix is None else reg(url, suffix, 0.0))
+        check()
 
 
 def test_two_searches_hand_out_the_same_objects_and_a_refresh_replaces_one():
@@ -421,18 +464,38 @@ def test_query_cache_survives_a_refresh_and_misses_on_every_membership_change():
     for host in CHILDREN:  # 3 refreshes: still a hit, and still the recorded stamps
         giis.apply_grrp(reg(f"ldap://{host}:389/", f"hn={host}, {GRID}", sim.now(), ttl=100.0))
     assert probe() == (True, ["c0", "c1", "c2"])
-    giis.apply_grrp(reg("ldap://ghost:389/", f"hn=ghost, {GRID}", sim.now(), ttl=10.0))
-    assert probe() == (False, ["c0", "c1", "c2"])  # register
+    giis.apply_grrp(reg(f"ldap://{SPARE}:389/", f"hn={SPARE}, {GRID}", sim.now(), ttl=10.0))
+    assert probe() == (False, ["c0", "c1", "c2", "c3"])  # register
     assert probe()[0]
     giis.apply_grrp(unreg("ldap://c2:389/", sim.now()))
-    assert probe() == (False, ["c0", "c1"])  # unregister
+    assert probe() == (False, ["c0", "c1", "c3"])  # unregister
     assert probe()[0]
-    sim.run_until(sim.now() + 11.0)  # ghost expires, unobserved
+    sim.run_until(sim.now() + 11.0)  # c3 expires, unobserved
     assert probe() == (False, ["c0", "c1"])  # expiry
     assert probe()[0]
     giis.apply_grrp(reg("ldap://c1:389/", "o=Elsewhere", sim.now(), ttl=100.0))
     assert probe() == (False, ["c0"])  # suffix change: c1 no longer covers o=Grid
     assert probe() == (True, ["c0"])
+
+
+def test_uncached_answer_caching_miss_and_caching_hit_are_the_same_frames():
+    world = World(GiisBackend, "chain")
+    giis = world.giis
+    for host in CHILDREN:
+        giis.apply_grrp(reg(f"ldap://{host}:389/", f"hn={host}, {GRID}", 0.0, ttl=1e6))
+    chained = giis.metrics.counter("giis.chained")
+    for port, attrs in ((389, ()), (390, ()), (390, ("hn", "url"))):
+        req = request(GRID, Scope.SUBTREE, "(objectclass=*)", attributes=attrs)
+        answers = []
+        for ttl in (0.0, 1e9, 1e9):  # uncached, caching miss, caching hit
+            giis.cache_ttl = ttl
+            world.msg_id = 0  # one message id: the frames compare as bytes
+            before = chained.value
+            answers.append(world.search(port, req))
+        assert len(answers[0]) == 11  # suffix, 3 registrations, 6 child entries, done
+        assert answers[0] == answers[1] == answers[2], port
+        assert chained.value == before  # the hit touched no child
+        giis._query_cache.clear()
 
 
 # ---------------------------------------------------------------------------

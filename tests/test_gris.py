@@ -109,7 +109,8 @@ class TestProviderCache:
         cache.get(p, now=0.0)
         cache.get(p, now=10.0)
         assert p.invocations == 1
-        assert cache.stats.hits == 1 and cache.stats.misses == 1
+        counters = cache.metrics.counter
+        assert counters("gris.cache.hits").value == counters("gris.cache.misses").value == 1
 
     def test_miss_after_ttl(self):
         cache = ProviderCache()
@@ -150,7 +151,7 @@ class TestProviderCache:
         cache.get(p, now=0.0)
         entries, produced = cache.get(p, now=50.0)  # expired + failing
         assert produced == 0.0
-        assert cache.stats.stale_served == 1
+        assert cache.metrics.counter("gris.cache.stale_served").value == 1
 
     def test_failure_without_cache_raises(self):
         cache = ProviderCache()

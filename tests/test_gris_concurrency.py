@@ -26,6 +26,11 @@ def req(base="o=O1", scope=Scope.SUBTREE, filt="(objectclass=*)"):
     return SearchRequest(base=base, scope=scope, filter=parse_filter(filt))
 
 
+def count(cache, name):
+    """One of *cache*'s counters on its metrics registry."""
+    return cache.metrics.counter(name).value
+
+
 def wait_until(predicate, timeout=5.0):
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
@@ -55,14 +60,14 @@ class TestSingleFlight:
         for t in threads:
             t.start()
         # 1 leader in provide(), 5 coalesced waiters blocked on its flight.
-        assert wait_until(lambda: cache.stats.coalesced == 5)
+        assert wait_until(lambda: count(cache, "gris.cache.coalesced") == 5)
         release.set()
         for t in threads:
             t.join(timeout=5.0)
         assert provider.invocations == 1
         assert len(results) == 6
         assert all(produced == 0.0 for _, produced in results)
-        assert cache.stats.misses == 6 and cache.stats.hits == 0
+        assert count(cache, "gris.cache.misses") == 6 and count(cache, "gris.cache.hits") == 0
 
     def test_coalesced_waiters_share_leader_failure(self):
         release = threading.Event()
@@ -84,13 +89,13 @@ class TestSingleFlight:
         threads = [threading.Thread(target=query) for _ in range(4)]
         for t in threads:
             t.start()
-        assert wait_until(lambda: cache.stats.coalesced == 3)
+        assert wait_until(lambda: count(cache, "gris.cache.coalesced") == 3)
         release.set()
         for t in threads:
             t.join(timeout=5.0)
         assert provider.invocations == 1
         assert len(errors) == 4
-        assert cache.stats.failures == 1  # one flight, one failure
+        assert count(cache, "gris.cache.failures") == 1  # one flight, one failure
 
     def test_threaded_stress_accounting_is_consistent(self):
         """Hammering one provider from many threads loses no updates."""
@@ -110,7 +115,7 @@ class TestSingleFlight:
         for t in threads:
             t.join(timeout=30.0)
         total = per_thread * n_threads
-        assert cache.stats.hits + cache.stats.misses == total
+        assert count(cache, "gris.cache.hits") + count(cache, "gris.cache.misses") == total
         assert 1 <= provider.invocations <= total
 
 
@@ -136,7 +141,7 @@ class TestStaleWhileRevalidate:
         entries, produced = cache.get(provider, now=15.0)  # expired, in window
         assert produced == 0.0  # stale snapshot answered immediately
         assert entries[0].first("cn") == "1"
-        assert cache.stats.revalidations == 1
+        assert count(cache, "gris.cache.revalidations") == 1
         assert provider.invocations == 1 and len(tasks) == 1
         tasks.pop()()  # run the background refresh
         assert provider.invocations == 2
@@ -149,7 +154,7 @@ class TestStaleWhileRevalidate:
         cache.get(provider, now=0.0)
         cache.get(provider, now=15.0)
         cache.get(provider, now=16.0)  # refresh already running: serve stale
-        assert len(tasks) == 1 and cache.stats.revalidations == 1
+        assert len(tasks) == 1 and count(cache, "gris.cache.revalidations") == 1
         assert provider.invocations == 1
 
     def test_beyond_window_blocks_on_refresh(self):
@@ -166,7 +171,7 @@ class TestStaleWhileRevalidate:
         assert cache.ready(provider, now=10.0)  # within the TTL
         assert cache.ready(provider, now=40.0)  # within ttl + window
         assert not cache.ready(provider, now=40.5)  # past the window
-        assert cache.stats.hits == 0 and cache.stats.misses == 1  # counts nothing
+        assert count(cache, "gris.cache.hits") == 0 and count(cache, "gris.cache.misses") == 1  # counts nothing
         bare = ProviderCache(stale_while_revalidate=30.0)  # no runner
         bare.get(provider, now=0.0)
         assert bare.ready(provider, now=10.0)
@@ -188,7 +193,7 @@ class TestStaleWhileRevalidate:
         cache.get(provider, now=0.0)
         _, produced = cache.get(provider, now=15.0)
         assert produced == 15.0 and provider.invocations == 2
-        assert cache.stats.revalidations == 0
+        assert count(cache, "gris.cache.revalidations") == 0
 
 
 class TestFailureBackoff:
@@ -204,12 +209,12 @@ class TestFailureBackoff:
         provider = FunctionProvider("p", fn, cache_ttl=5.0)
         with pytest.raises(ProviderError):
             cache.get(provider, now=0.0)
-        assert cache.stats.failures == 1
+        assert count(cache, "gris.cache.failures") == 1
         # Backing off until t=2: the provider is not even invoked.
         with pytest.raises(ProviderError):
             cache.get(provider, now=1.0)
         assert provider.invocations == 1
-        assert cache.stats.backoff_skips == 1
+        assert count(cache, "gris.provider.backoff_skips") == 1
         assert cache.in_backoff("p", 1.0)
         # Past the backoff: retried, fails again, the delay doubles.
         with pytest.raises(ProviderError):
@@ -237,12 +242,12 @@ class TestFailureBackoff:
         cache.get(provider, now=0.0)
         healthy["ok"] = False
         _, produced = cache.get(provider, now=2.0)  # fails -> stale served
-        assert produced == 0.0 and cache.stats.failures == 1
+        assert produced == 0.0 and count(cache, "gris.cache.failures") == 1
         _, produced = cache.get(provider, now=2.5)  # in backoff: no probe
         assert produced == 0.0
         assert provider.invocations == 2
-        assert cache.stats.backoff_skips == 1
-        assert cache.stats.stale_served == 2
+        assert count(cache, "gris.provider.backoff_skips") == 1
+        assert count(cache, "gris.cache.stale_served") == 2
 
     def test_backoff_caps_at_maximum(self):
         cache = ProviderCache(backoff_base=1.0, backoff_max=4.0)
@@ -468,7 +473,7 @@ class TestReadyProbesInline:
             assert self.h4_cpus(gris) == "1"  # served stale at once
             # One pool task: the background provide(), not the probe.
             assert self.counts(gris)[0] == submitted + 1
-            assert gris.cache.stats.revalidations == 1
+            assert count(gris.cache, "gris.cache.revalidations") == 1
         finally:
             gris.shutdown()
 

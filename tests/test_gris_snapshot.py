@@ -456,7 +456,7 @@ def test_cache_hit_does_no_entry_work(entry_work):
     again, same_time = cache.get(provider, now=20.0)
     assert again is first and same_time == produced_at == 1.0
     assert entry_work == {"copy": 0, "with_dn": 0, "stamp": 0}
-    assert cache.stats.hits == 1
+    assert cache.metrics.counter("gris.cache.hits").value == 1
 
 
 def test_polling_ticks_settle_unchanged_entries_by_identity(entry_work, monkeypatch):

@@ -227,6 +227,51 @@ class TestGiisSearchBuildsNothing:
             assert "registry.active()" not in inspect.getsource(getattr(GiisBackend, method))
 
 
+class TestOneGiisSearchPath:
+    """A GIIS search routes from the registry's generation and a caching
+    GIIS relays like any other: no hook-kept routing index, no decoded
+    fallback lane, no per-instance knobs for either."""
+
+    def test_giis_core_imports_no_attribute_index(self):
+        offenders = [
+            where
+            for where, module, names in _import_statements()
+            if where.startswith("src/repro/giis/core.py:") and "AttributeIndex" in names
+        ]
+        assert not offenders
+
+    def test_no_registration_suffix_index(self):
+        import repro.giis
+        import repro.giis.core
+
+        assert not hasattr(repro.giis, "RegistrationSuffixIndex")
+        assert not hasattr(repro.giis.core, "RegistrationSuffixIndex")
+
+    def test_route_takes_no_lock_and_the_backend_no_pool_or_cache_size(self):
+        import inspect
+
+        from repro.giis import GiisBackend
+
+        assert "lock" not in inspect.getsource(GiisBackend._route)
+        parameters = inspect.signature(GiisBackend).parameters
+        assert not {"pool_size", "max_query_cache"} & set(parameters)
+
+    def test_no_relay_fallback_instrument(self):
+        from repro.testbed import GridTestbed
+
+        tb = GridTestbed(seed=3)
+        giis = tb.add_giis("giis", "o=Grid", cache_ttl=30.0)
+        tb.register(tb.standard_gris("r0", "hn=r0, o=Grid"), giis, name="r0")
+        tb.run(1.0)
+        client = tb.client("u", giis)
+        for _ in range(2):  # a caching miss, then its hit
+            client.search("o=Grid", filter="(objectclass=computer)")
+        metrics = giis.backend.metrics
+        assert metrics.counter("giis.query_cache.hits").value == 1
+        assert metrics.counter("giis.relay.entries").value == 2
+        assert not [name for name in metrics.snapshot() if "fallback" in name]
+
+
 class TestServerFilteringMatchesLocalSemantics:
     """Cross-check: entries a server returns for a filter are exactly
     the entries whose full content matches the filter locally."""
