@@ -7,7 +7,12 @@
 ``BENCHMARK.json``; the workloads run one after another, each with its
 own pairs and its own table.
 
-Implements the method of gridbench's "Comparing two commits": pair *i*
+First, a pre-flight: the change checkout runs the benchmark command of
+``BENCHMARK.json`` once as it stands plus ``--quick`` (every workload,
+untraced and traced).  If that run exits non-zero, nothing is paired:
+the tail of its stderr is shown and the exit status is 1.
+
+Then it implements the method of gridbench's "Comparing two commits": pair *i*
 runs the benchmark command of ``BENCHMARK.json`` (beside this file's
 directory) with ``--trace 0`` and seed ``N + i`` in both checkouts, the
 parent first on even pairs and the change first on odd ones.  Then, per
@@ -40,6 +45,8 @@ from typing import List, Optional, Sequence, Tuple
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 RUN_TIMEOUT_S = 600  # one gridbench run takes about 30 s; this only stops a hang
+PREFLIGHT_TIMEOUT_S = 1800  # every workload, both passes, 3 s windows
+PREFLIGHT_TAIL = 20  # stderr lines shown when the pre-flight run fails
 GAIN_SHARE = 0.9  # of the pairs the change must win to claim a gain
 
 
@@ -70,6 +77,22 @@ def run_once(checkout: pathlib.Path, command: Sequence[str], workload: str, seed
         record["error"] = (proc.stderr.strip().splitlines() or [f"exit {proc.returncode}"])[-1]
         record["correct"] = False
     return record
+
+
+def preflight(checkout: pathlib.Path, command: Sequence[str]) -> Optional[str]:
+    """Run *command* with ``--quick`` once in *checkout*: None when it
+    exits 0, else the tail of its stderr (or what stopped it)."""
+    try:
+        proc = subprocess.run(
+            [*command, "--quick"], cwd=checkout, capture_output=True, text=True,
+            timeout=PREFLIGHT_TIMEOUT_S,
+        )
+    except subprocess.TimeoutExpired:
+        return f"timeout after {PREFLIGHT_TIMEOUT_S} s"
+    if proc.returncode == 0:
+        return None
+    tail = proc.stderr.strip().splitlines()[-PREFLIGHT_TAIL:]
+    return "\n".join(tail + [f"exit {proc.returncode}"])
 
 
 def failed(record: dict) -> bool:
@@ -177,6 +200,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     for name in args.workload:
         workloads += [w["name"] for w in bench["workloads"]] if name == "all" else [name]
     sides = {"parent": args.parent, "change": args.change}
+    error = preflight(args.change, bench["command"])
+    if error is not None:
+        print(f"NOT OK pre-flight: {' '.join(bench['command'])} --quick failed in {args.change}:",
+              file=sys.stderr)
+        print(error, file=sys.stderr)
+        return 1
     not_ok = []
     for workload in workloads:
         rows, any_failed = compare(bench, sides, workload, args.pairs, args.seed)

@@ -331,10 +331,11 @@ def build_gris(
     dispatch), and
     ``stale_while_revalidate`` widens each provider's serve window by
     that many seconds: expired-but-within-window snapshots are answered
-    immediately while one background refresh runs.  A non-empty
-    ``indexes`` list in the config gives each served provider snapshot
-    posting lists over those attributes, letting equality/presence
-    searches skip the linear merge scan.  A durable ``storage`` object
+    immediately while one background refresh runs.  Each served provider
+    snapshot builds the posting lists of an attribute the first time an
+    equality/presence search plans over it; a non-empty ``indexes`` list
+    in the config only builds those attributes' lists eagerly, when the
+    snapshot is published.  A durable ``storage`` object
     (or ``data_dir``) persists the snapshots: the server restarts warm,
     serving pre-crash snapshots until their TTLs lapse.
     """

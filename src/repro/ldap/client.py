@@ -33,7 +33,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..net.clock import Clock
 from ..net.transport import Connection, ConnectionClosed
-from ..security.acl import ANONYMOUS
 from .backend import ChangeType
 from .ber import TAG_SEQUENCE, BerError, Tag, TlvReader, decode_tlv
 from .dit import Scope
@@ -585,6 +584,7 @@ class LdapClient:
         return out.result
 
     def whoami(self, timeout: float = 10.0) -> str:
+        from ..security.acl import ANONYMOUS  # security.acl imports repro.ldap
         from .server import WHOAMI_OID
 
         out = self._blocking(

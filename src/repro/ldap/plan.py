@@ -24,7 +24,9 @@ candidate with ``filt.matches``, so planned and scanned searches return
 byte-identical results; the index only prunes the candidate space.
 
 Candidate sets may be live index views — consume them under the index
-owner's lock, or copy.
+owner's lock, or copy.  The planner asks only ``equality`` and
+``presence``, so anything answering those (a GRIS snapshot that builds
+its postings per attribute on first use) can stand for the index.
 """
 
 from __future__ import annotations

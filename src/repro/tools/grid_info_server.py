@@ -114,9 +114,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--index-attrs",
         default=None,
         metavar="ATTRS",
-        help="comma-separated attributes to maintain posting-list indexes "
-        "for; equality/presence searches over them skip the linear "
-        "merge scan (overrides the config file's 'indexes' list)",
+        help="comma-separated attributes whose posting lists each provider "
+        "snapshot builds when published; any other attribute a search "
+        "plans over is indexed on first use (overrides the config "
+        "file's 'indexes' list)",
     )
     parser.add_argument(
         "--storage",

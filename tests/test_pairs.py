@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import pathlib
+import sys
 
 import pytest
 
@@ -86,6 +87,7 @@ def _stub_runs(monkeypatch, canned):
         return pairs.parse_result(canned[workload, side])
 
     monkeypatch.setattr(pairs, "run_once", run_once)
+    monkeypatch.setattr(pairs, "preflight", lambda checkout, command: None)
     return calls
 
 
@@ -138,3 +140,45 @@ def test_all_means_every_benchmark_workload(monkeypatch):
     calls = _stub_runs(monkeypatch, {(n, s): ok for n in names for s in ("parent", "change")})
     assert _main("all") == 0
     assert list(dict.fromkeys(c[0] for c in calls)) == names
+
+
+def _stub_command(tmp_path, code):
+    """A stand-in for the benchmark command: records its arguments, then runs *code*."""
+    script = tmp_path / "bench.py"
+    script.write_text(
+        "import pathlib, sys\n"
+        "pathlib.Path('argv.json').write_text(__import__('json').dumps(sys.argv[1:]))\n"
+        + code
+    )
+    return [sys.executable, str(script)]
+
+
+def test_preflight_runs_the_benchmark_command_once_quick(tmp_path):
+    command = _stub_command(tmp_path, "print('ok')\n")
+    assert pairs.preflight(tmp_path, command) is None
+    assert json.loads((tmp_path / "argv.json").read_text()) == ["--quick"]
+
+
+def test_a_failed_preflight_stops_before_any_pair(tmp_path, monkeypatch, capsys):
+    command = _stub_command(
+        tmp_path,
+        "for i in range(40): print(f'trace line {i}', file=sys.stderr)\n"
+        "print(\"AttributeError: type object 'DIT' has no attribute 'candidates'\", file=sys.stderr)\n"
+        "sys.exit(3)\n",
+    )
+    error = pairs.preflight(tmp_path, command)
+    assert error.splitlines()[-2:] == [
+        "AttributeError: type object 'DIT' has no attribute 'candidates'", "exit 3"]
+    assert "trace line 0" not in error and "trace line 39" in error
+
+    bench = json.loads((_PATH.parents[1] / "BENCHMARK.json").read_text())
+    bench["command"] = command
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(bench))
+    monkeypatch.setattr(pairs, "ROOT", tmp_path)
+    calls = []
+    monkeypatch.setattr(pairs, "run_once", lambda *args: calls.append(args))
+    assert pairs.main(["--parent", str(tmp_path), "--change", str(tmp_path),
+                       "--workload", "all"]) == 1
+    assert calls == []
+    err = capsys.readouterr().err
+    assert "NOT OK pre-flight" in err and "has no attribute 'candidates'" in err

@@ -2,8 +2,11 @@
 
 import ast
 import importlib
+import os
 import pathlib
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -51,6 +54,27 @@ class TestDocumentation:
                     if not (obj.__doc__ and obj.__doc__.strip()):
                         undocumented.append(f"{name}.{attr}")
         assert not undocumented, f"undocumented public classes: {undocumented}"
+
+
+def _packages():
+    root = pathlib.Path(repro.__file__).parent
+    return sorted(f"repro.{info.name}" for info in pkgutil.iter_modules([str(root)]) if info.ispkg)
+
+
+class TestEveryPackageImportsFirst:
+    """A process may import any package first: no import cycle bites."""
+
+    def test_each_package_imports_in_a_fresh_interpreter(self):
+        src = str(pathlib.Path(repro.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        failures = {}
+        for name in _packages():  # one interpreter each, one after another
+            proc = subprocess.run([sys.executable, "-c", f"import {name}"], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            if proc.returncode != 0:
+                failures[name] = proc.stderr.strip().splitlines()[-1:]
+        assert len(_packages()) >= 11
+        assert failures == {}
 
 
 class TestOneSearchPath:
