@@ -10,15 +10,12 @@ workloads.  This module is the reusable core of that harness:
 * :func:`closed_loop` — N virtual users, each with its own connection,
   each keeping exactly one request in flight (think-time zero): the
   classic saturation workload.  Offered load adapts to service rate;
-* :func:`open_loop` — a paced arrival process at a configured rate over
-  a fixed connection pool: offered load is independent of service rate,
-  so queueing delay shows up in the tail percentiles instead of being
-  absorbed by backpressure;
 * :class:`LoadStats` — completed/error counts plus client-observed
   latency percentiles (p50/p95/p99) and throughput;
 * :func:`build_vo` — the measured topology: M GRIS (one DIT each)
   behind a GIIS front end chaining over pooled reactor connections,
-  mirroring Figure 5's hierarchy.
+  mirroring Figure 5's hierarchy;
+* :func:`git_describe` — the commit a report was measured at.
 
 Everything runs over real loopback sockets on the selector-reactor
 transport; the client side keeps all virtual users on one event-loop
@@ -26,7 +23,9 @@ thread, so user counts in the hundreds cost file descriptors rather
 than OS threads.
 """
 
+import pathlib
 import random
+import subprocess
 import threading
 import time
 import urllib.request
@@ -59,11 +58,11 @@ __all__ = [
     "Workload",
     "LoadStats",
     "closed_loop",
-    "open_loop",
     "build_vo",
     "VoTestbed",
     "populate_gris",
     "MetricsScraper",
+    "git_describe",
 ]
 
 
@@ -140,27 +139,16 @@ class LoadStats:
     errors: int = 0
     duration_s: float = 0.0
     latencies: List[float] = field(default_factory=list)
-    # Time-to-first-entry: issue -> first SearchResultEntry on the wire,
-    # the latency a streaming consumer actually feels (benchmark E23).
-    ttfes: List[float] = field(default_factory=list)
-    offered_rps: Optional[float] = None  # open loop only
 
-    @staticmethod
-    def _quantiles(samples: List[float]) -> Dict[str, float]:
-        if not samples:
+    def percentiles(self) -> Dict[str, float]:
+        if not self.latencies:
             return {"p50_ms": 0.0, "p95_ms": 0.0, "p99_ms": 0.0}
-        s = sorted(samples)
+        s = sorted(self.latencies)
 
         def q(p: float) -> float:
             return round(s[min(len(s) - 1, int(p * len(s)))] * 1000, 3)
 
         return {"p50_ms": q(0.50), "p95_ms": q(0.95), "p99_ms": q(0.99)}
-
-    def percentiles(self) -> Dict[str, float]:
-        return self._quantiles(self.latencies)
-
-    def ttfe_percentiles(self) -> Dict[str, float]:
-        return self._quantiles(self.ttfes)
 
     @property
     def throughput_rps(self) -> float:
@@ -169,7 +157,7 @@ class LoadStats:
         return round(self.completed / self.duration_s, 1)
 
     def summary(self) -> Dict[str, object]:
-        out = {
+        return {
             "mode": self.mode,
             "users": self.users,
             "completed": self.completed,
@@ -178,11 +166,6 @@ class LoadStats:
             "throughput_rps": self.throughput_rps,
             "percentiles": self.percentiles(),
         }
-        if self.ttfes:
-            out["ttfe_percentiles"] = self.ttfe_percentiles()
-        if self.offered_rps is not None:
-            out["offered_rps"] = self.offered_rps
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -198,20 +181,16 @@ class _VirtualUser:
     user with zero think time.
     """
 
-    __slots__ = ("client", "source", "remaining", "latencies", "ttfes",
-                 "errors", "_t0", "_seen_entry", "_on_entry", "_harness")
+    __slots__ = ("client", "source", "remaining", "latencies", "errors",
+                 "_t0", "_harness")
 
-    def __init__(self, client, source, requests, harness,
-                 measure_ttfe: bool = False):
+    def __init__(self, client, source, requests, harness):
         self.client = client
         self.source = source
         self.remaining = requests
         self.latencies: List[float] = []
-        self.ttfes: List[float] = []
         self.errors = 0
         self._t0 = 0.0
-        self._seen_entry = False
-        self._on_entry = self._first_entry if measure_ttfe else None
         self._harness = harness
 
     def start(self) -> None:
@@ -219,19 +198,11 @@ class _VirtualUser:
 
     def _fire(self) -> None:
         self._t0 = time.perf_counter()
-        self._seen_entry = False
         try:
-            self.client.search_async(
-                self.source(), self._on_done, on_entry=self._on_entry
-            )
+            self.client.search_async(self.source(), self._on_done)
         except Exception:  # noqa: BLE001 - a dead user stops looping
             self.errors += 1
             self._harness.user_finished()
-
-    def _first_entry(self, _item) -> None:
-        if not self._seen_entry:
-            self._seen_entry = True
-            self.ttfes.append(time.perf_counter() - self._t0)
 
     def _on_done(self, result, error) -> None:
         self.latencies.append(time.perf_counter() - self._t0)
@@ -263,12 +234,9 @@ def closed_loop(
     users: int,
     requests_per_user: int,
     timeout_s: float = 300.0,
-    measure_ttfe: bool = False,
 ) -> LoadStats:
     """Saturation load: ``users`` connections, one request in flight
-    each, ``requests_per_user`` requests per connection.  With
-    ``measure_ttfe`` each user also records issue-to-first-entry time
-    via a per-entry streaming callback."""
+    each, ``requests_per_user`` requests per connection."""
     harness = _Harness(users)
     vusers = []
     for i in range(users):
@@ -277,7 +245,7 @@ def closed_loop(
         vusers.append(
             _VirtualUser(
                 LdapClient(connect()), wl.request_source(),
-                requests_per_user, harness, measure_ttfe=measure_ttfe,
+                requests_per_user, harness,
             )
         )
     started = time.perf_counter()
@@ -289,7 +257,6 @@ def closed_loop(
     stats = LoadStats(mode="closed", users=users, duration_s=duration)
     for u in vusers:
         stats.latencies.extend(u.latencies)
-        stats.ttfes.extend(u.ttfes)
         stats.errors += u.errors
         try:
             u.client.unbind()
@@ -298,90 +265,6 @@ def closed_loop(
     stats.completed = len(stats.latencies)
     if not finished:
         stats.errors += 1  # record the timeout itself
-    return stats
-
-
-# ---------------------------------------------------------------------------
-# Open loop: paced arrivals over a fixed connection pool
-# ---------------------------------------------------------------------------
-
-
-def open_loop(
-    connect: Callable[[], object],
-    workload: Workload,
-    rate_rps: float,
-    duration_s: float,
-    connections: int = 32,
-    drain_timeout_s: float = 60.0,
-) -> LoadStats:
-    """Arrivals at ``rate_rps`` regardless of completions: offered load
-    is independent of service rate, so saturation appears as tail
-    latency growth rather than throughput clamping."""
-    clients = [LdapClient(connect()) for _ in range(connections)]
-    source = workload.request_source()
-    lock = threading.Lock()
-    latencies: List[float] = []
-    errors = [0]
-    inflight = [0]
-    drained = threading.Event()
-
-    def on_done_at(t0: float):
-        def on_done(result, error):
-            with lock:
-                latencies.append(time.perf_counter() - t0)
-                if error is not None or not result.result.ok:
-                    errors[0] += 1
-                inflight[0] -= 1
-                if inflight[0] == 0 and stopped[0]:
-                    drained.set()
-
-        return on_done
-
-    stopped = [False]
-    interval = 1.0 / rate_rps
-    started = time.perf_counter()
-    deadline = started + duration_s
-    i = 0
-    while True:
-        now = time.perf_counter()
-        if now >= deadline:
-            break
-        target = started + i * interval
-        if target > now:
-            time.sleep(min(target - now, deadline - now))
-            continue
-        client = clients[i % connections]
-        with lock:
-            inflight[0] += 1
-        try:
-            client.search_async(source(), on_done_at(time.perf_counter()))
-        except Exception:  # noqa: BLE001 - a failed send is an error
-            with lock:
-                errors[0] += 1
-                inflight[0] -= 1
-        i += 1
-    with lock:
-        stopped[0] = True
-        if inflight[0] == 0:
-            drained.set()
-    drained.wait(timeout=drain_timeout_s)
-    duration = time.perf_counter() - started
-
-    stats = LoadStats(
-        mode="open",
-        users=connections,
-        duration_s=duration,
-        offered_rps=round(rate_rps, 1),
-    )
-    with lock:
-        stats.latencies = list(latencies)
-        stats.errors = errors[0]
-    stats.completed = len(stats.latencies)
-    for c in clients:
-        try:
-            c.unbind()
-        except Exception:  # noqa: BLE001 - teardown best-effort
-            pass
     return stats
 
 
@@ -665,3 +548,18 @@ class MetricsScraper:
                 for url, series in self.samples.items()
             },
         }
+
+
+def git_describe() -> str:
+    """``git describe`` of this checkout, or ``unknown`` outside git."""
+    try:
+        return subprocess.run(
+            ["git", "describe", "--always", "--dirty"],
+            cwd=pathlib.Path(__file__).parents[1],
+            capture_output=True,
+            text=True,
+            timeout=10,
+            check=True,
+        ).stdout.strip()
+    except Exception:  # noqa: BLE001 - describe is metadata, not a gate
+        return "unknown"

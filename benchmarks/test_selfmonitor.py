@@ -46,6 +46,7 @@ from loadgen import (
     Workload,
     build_vo,
     closed_loop,
+    git_describe,
     populate_gris,
 )
 from repro.ldap.backend import DitBackend
@@ -67,7 +68,6 @@ from repro.obs import (
 )
 from repro.testbed.metrics import fmt_table
 from repro.tools.grid_info_top import main as top_main
-from test_loadgen import git_describe
 
 QUICK = bool(os.environ.get("E22_QUICK"))
 

@@ -317,7 +317,6 @@ def build_gris(
     clock: Optional[Clock] = None,
     metrics=None,
     provider_workers: int = 0,
-    provider_queue_limit: int = 64,
     stale_while_revalidate: float = 0.0,
     data_dir: Optional[str] = None,
     tracer=None,
@@ -346,7 +345,6 @@ def build_gris(
         clock=clock or WallClock(),
         metrics=metrics,
         provider_workers=provider_workers,
-        provider_queue_limit=provider_queue_limit,
         stale_while_revalidate=stale_while_revalidate,
         index_attrs=config.index_attrs or None,
         storage=storage,

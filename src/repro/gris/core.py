@@ -79,6 +79,9 @@ _NONE: FrozenSet[DN] = frozenset()
 # from planning; from 5 entries on, the loss is a few microseconds.
 _PLAN_MIN_ENTRIES = 5
 
+# Provider probes the fan-out pool queues beyond its busy workers.
+PROVIDER_QUEUE_LIMIT = 64
+
 
 def _branch(provider_name: str) -> DN:
     """The marker DN of a provider's durable branch, outside the suffix;
@@ -234,7 +237,6 @@ class GrisBackend(Backend):
         poll_interval: float = 5.0,
         metrics: Optional[MetricsRegistry] = None,
         provider_workers: int = 0,
-        provider_queue_limit: int = 64,
         stale_while_revalidate: float = 0.0,
         index_attrs: Optional[Iterable[str]] = None,
         storage: Optional[StorageEngine] = None,
@@ -249,7 +251,7 @@ class GrisBackend(Backend):
         # collect cost max(provider latency) instead of the sum.
         self._pool = RequestExecutor(
             workers=provider_workers,
-            queue_limit=provider_queue_limit,
+            queue_limit=PROVIDER_QUEUE_LIMIT,
             metrics=self.metrics,
             clock=clock,
             name="gris-provider",

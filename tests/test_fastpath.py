@@ -502,39 +502,3 @@ def test_wire_bytes_identical_with_and_without_fast_lanes(transport):
 def test_wire_bytes_identical_across_transports():
     reactor, simnet = (_serve_and_capture(kind)[0] for kind in WIRES)
     assert reactor == simnet
-
-
-# ---------------------------------------------------------------------------
-# BENCH_E21.json: the committed benchmark artifact keeps its schema
-# ---------------------------------------------------------------------------
-
-
-def test_bench_e21_schema():
-    import json
-    import pathlib
-
-    path = pathlib.Path(__file__).parents[1] / "BENCH_E21.json"
-    assert path.exists(), "BENCH_E21.json must be committed at the repo root"
-    data = json.loads(path.read_text())
-    assert data["experiment"] == "E21"
-    assert isinstance(data["git"], str) and data["git"]
-    assert data["runs"], "at least one workload rung"
-    for run in data["runs"]:
-        wl = run["workload"]
-        assert wl["name"] and wl["base"] and wl["filters"] and wl["scopes"]
-        for side in ("baseline", "fastpath"):
-            summary = run[side]
-            pct = summary["percentiles"]
-            for key in ("p50_ms", "p95_ms", "p99_ms"):
-                assert isinstance(pct[key], (int, float))
-            assert isinstance(summary["throughput_rps"], (int, float))
-            assert summary["completed"] > 0
-        assert isinstance(run["speedup"], (int, float))
-    assert data["open_loop"]["percentiles"]
-    assert data["giis_topology"]["throughput_rps"] > 0
-    if not data["quick"]:
-        big = [
-            r for r in data["runs"]
-            if r["entries"] >= 10000 and r["users"] >= 500
-        ]
-        assert big and big[0]["speedup"] >= 1.5

@@ -335,6 +335,44 @@ class TestParallelCollect:
         finally:
             gris.shutdown()
 
+    def test_cold_search_stampede_invokes_each_provider_once(self):
+        """K identical cold searches at once: every provider's refresh
+        runs once, the other K-1 probes of it wait on that flight."""
+        providers, searches = 3, 3
+        release = threading.Event()
+
+        def gated(i):
+            def fn():
+                release.wait(5.0)
+                return [Entry(f"hn=h{i}", objectclass="computer", hn=f"h{i}")]
+
+            return fn
+
+        # One worker per probe, so every probe reaches the cache at once.
+        gris = GrisBackend("o=O1", clock=WallClock(), provider_workers=providers * searches)
+        for i in range(providers):
+            gris.add_provider(
+                FunctionProvider(f"p{i}", gated(i), namespace=f"hn=h{i}", cache_ttl=300.0)
+            )
+        answers = []
+        threads = [
+            threading.Thread(target=lambda: answers.append(gris.search(req(), RequestContext())))
+            for _ in range(searches)
+        ]
+        try:
+            for t in threads:
+                t.start()
+            waiters = providers * (searches - 1)
+            assert wait_until(lambda: count(gris.cache, "gris.cache.coalesced") == waiters)
+            release.set()
+            for t in threads:
+                t.join(timeout=5.0)
+            assert [p.invocations for p in gris.providers()] == [1] * providers
+            assert [len(out.entries) for out in answers] == [providers] * searches
+        finally:
+            release.set()
+            gris.shutdown()
+
     def test_cancel_aborts_parallel_fanout(self):
         release = threading.Event()
         entered = threading.Event()

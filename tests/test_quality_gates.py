@@ -77,6 +77,23 @@ class TestEveryPackageImportsFirst:
         assert failures == {}
 
 
+class TestToolsRunAsModules:
+    """Each tool runs as ``python -m repro.tools.<tool>`` and executes once:
+    the package pre-imports no tool, which ``-m`` would then run again."""
+
+    @pytest.mark.parametrize(
+        "tool", ["grid_info_search", "grid_info_server", "grid_info_trace", "grid_info_top"]
+    )
+    def test_help_exits_zero_with_runtime_warnings_as_errors(self, tool):
+        src = str(pathlib.Path(repro.__file__).parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", f"repro.tools.{tool}", "--help"],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("usage: ")
+
+
 class TestOneSearchPath:
     def test_backend_search_surface_and_no_lane_switches(self):
         """``submit_search_stream`` is the contract and ``search`` its one
@@ -187,6 +204,15 @@ class TestGrisServesItsSnapshots:
         gris = GrisBackend("o=Grid", Simulator(), index_attrs=("hn",), storage=MemoryEngine())
         assert not hasattr(gris, "_view")
         assert not [name for name in (*vars(GrisBackend), *vars(gris)) if "view" in name]
+
+    def test_provider_queue_limit_is_a_constant(self):
+        import inspect
+
+        from repro.gris import GrisBackend
+        from repro.gris.config import build_gris
+
+        for fn in (GrisBackend, build_gris):
+            assert "provider_queue_limit" not in inspect.signature(fn).parameters
 
 
 class TestGiisSearchBuildsNothing:

@@ -8,7 +8,14 @@ from repro.ldap.backend import ChangeType, DitBackend
 from repro.ldap.client import LdapClient, LdapError
 from repro.ldap.dit import DIT, Scope
 from repro.ldap.entry import Entry
-from repro.ldap.protocol import ModifyRequest, ResultCode, SearchRequest
+from repro.ldap.protocol import (
+    LdapMessage,
+    ModifyRequest,
+    ResultCode,
+    SearchRequest,
+    SearchResultEntry,
+    encode_message,
+)
 from repro.ldap.server import LdapServer, _authz_id
 from repro.net.sim import Simulator
 from repro.net.simnet import SimNetwork
@@ -97,6 +104,21 @@ class TestSearchOverSim:
         out = fx.client.search("o=Grid", filter="(hn=hostX)", attrs=["system"])
         assert out.entries[0].has("system")
         assert not out.entries[0].has("load5")
+
+    def test_attr_selection_shrinks_the_answer(self, fx):
+        """§4.1: asking for a subset of attributes reduces what must be
+        transmitted — here to under half the bytes of the full entries."""
+
+        def wire_bytes(out):
+            return sum(
+                len(encode_message(LdapMessage(1, SearchResultEntry.from_entry(e))))
+                for e in out.entries
+            )
+
+        full = fx.client.search("o=Grid", filter="(objectclass=computer)")
+        thin = fx.client.search("o=Grid", filter="(objectclass=computer)", attrs=["hn"])
+        assert len(thin) == len(full) == 2
+        assert wire_bytes(thin) < wire_bytes(full) / 2
 
     def test_no_such_object(self, fx):
         out = fx.client.search("o=Nowhere", Scope.BASE, check=False)
@@ -446,12 +468,7 @@ class TestServerRobustness:
         assert fx.server.metrics.counter("ldap.protocol.errors").value == 1
 
     def test_response_op_to_server_is_violation(self, fx):
-        from repro.ldap.protocol import (
-            BindResponse,
-            LdapMessage,
-            LdapResult,
-            encode_message,
-        )
+        from repro.ldap.protocol import BindResponse, LdapResult
 
         fx.client.conn.send(
             encode_message(LdapMessage(1, BindResponse(LdapResult())))

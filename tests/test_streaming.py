@@ -660,44 +660,3 @@ def test_time_budget_propagates_to_children(time_limit, forwarded):
     tb.run(1.0)
     assert out and out[0].result.ok
     assert [r.time_limit for r in recorder.requests] == [forwarded]
-
-
-# ---------------------------------------------------------------------------
-# Committed benchmark artifact (E23)
-# ---------------------------------------------------------------------------
-
-
-def test_bench_e23_schema():
-    import json
-    import pathlib
-
-    path = pathlib.Path(__file__).parents[1] / "BENCH_E23.json"
-    assert path.exists(), "BENCH_E23.json must be committed at the repo root"
-    data = json.loads(path.read_text())
-    assert data["experiment"] == "E23"
-    assert isinstance(data["git"], str) and data["git"]
-    assert data["runs"], "at least one workload rung"
-    for run in data["runs"]:
-        wl = run["workload"]
-        assert wl["name"] and wl["base"] and wl["filters"] and wl["scopes"]
-        for side in ("relay_off", "relay_on"):
-            summary = run[side]
-            for key in ("p50_ms", "p95_ms", "p99_ms"):
-                assert isinstance(summary["percentiles"][key], (int, float))
-                assert isinstance(
-                    summary["ttfe_percentiles"][key], (int, float)
-                )
-            assert isinstance(summary["throughput_rps"], (int, float))
-            assert summary["completed"] > 0
-        assert run["relay_on"]["giis_metrics"]["relay_entries"] > 0
-        assert run["relay_off"]["giis_metrics"]["relay_entries"] == 0
-        assert isinstance(run["speedup"], (int, float))
-        assert isinstance(run["ttfe_ratio"], (int, float))
-    if not data["quick"]:
-        big = [
-            r for r in data["runs"]
-            if r["entries"] >= 10000 and r["users"] >= 500
-        ]
-        assert big and (
-            big[0]["speedup"] >= 1.3 or big[0]["ttfe_ratio"] >= 2.0
-        )
