@@ -1,8 +1,11 @@
 """Shared fixtures for the experiment harness.
 
-Every benchmark prints a paper-shaped report table and also writes it to
-``benchmarks/reports/<name>.txt`` so results survive pytest's output
-capture.  EXPERIMENTS.md summarizes paper-claim vs. measured for each.
+Every benchmark prints a paper-shaped report table and, on a full run,
+also writes it to ``benchmarks/reports/<name>.txt`` so results survive
+pytest's output capture.  A quick smoke (a module whose ``QUICK`` is
+true, e.g. ``E17_QUICK=1``) only prints, so it leaves the committed
+full-mode reports as they are.  EXPERIMENTS.md summarizes paper-claim
+vs. measured for each.
 """
 
 import pathlib
@@ -12,15 +15,21 @@ import pytest
 REPORTS = pathlib.Path(__file__).parent / "reports"
 
 
-@pytest.fixture
-def report():
-    """report(name, text): print and persist one experiment report."""
+def make_report(quick: bool):
+    """report(name, text): print one experiment report, and persist it
+    under ``REPORTS`` unless *quick*."""
 
     def emit(name: str, text: str) -> str:
-        REPORTS.mkdir(exist_ok=True)
-        path = REPORTS / f"{name}.txt"
-        path.write_text(text + "\n")
+        if not quick:
+            REPORTS.mkdir(exist_ok=True)
+            (REPORTS / f"{name}.txt").write_text(text + "\n")
         print(f"\n=== {name} ===\n{text}\n")
         return text
 
     return emit
+
+
+@pytest.fixture
+def report(request):
+    """report(name, text) for the calling module, quick if its ``QUICK`` is."""
+    return make_report(bool(getattr(request.module, "QUICK", False)))

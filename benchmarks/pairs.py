@@ -27,6 +27,11 @@ for neither side) and a verdict:
   than the metric's ``bound`` (a fraction of the parent's median);
 * ``no regression`` -- neither.
 
+A row is also marked ``unresolved`` when the parent's own inter-quartile
+distance is wider than the metric's bound: the runs spread too widely
+for these pairs to tell a regression of that size from noise.  The mark
+changes neither the verdict nor the exit status.
+
 The exit status is non-zero when any run of any workload failed
 (non-zero exit, no result line, or ``failed`` > 0) or any metric is
 ``worse``.
@@ -143,6 +148,7 @@ def summarise(pairs: Sequence[Tuple[dict, dict]], end_to_end: Sequence[dict]) ->
                 "wins": wins,
                 "pairs": len(values),
                 "verdict": verdict,
+                "unresolved": parent[2] - parent[0] > bound,
             }
         )
     return rows
@@ -160,6 +166,7 @@ def format_rows(rows: Sequence[dict]) -> str:
         lines.append(
             f"{r['metric']:<22} {r['unit']:<4} {side(r['parent']):<28} {side(r['change']):<28} "
             f"{r['delta']:>+7.1%} {r['wins']:>3}/{r['pairs']:<2}  {r['verdict']}"
+            + (", unresolved" if r["unresolved"] else "")
         )
     return "\n".join(lines)
 

@@ -33,6 +33,7 @@ __all__ = [
     "Tag",
     "TagClass",
     "encode_tlv",
+    "tlv_header",
     "decode_tlv",
     "decode_tlv_stream",
     "encode_boolean",
@@ -143,10 +144,22 @@ def _encode_length(length: int) -> bytes:
     return bytes([0x80 | len(payload)]) + payload
 
 
+def tlv_header(octet: int, length: int) -> bytes:
+    """The tag and definite-length octets of a TLV whose value is
+    *length* bytes long."""
+    if length < 0x80:
+        return bytes((octet, length))
+    if length < 0x100:
+        return bytes((octet, 0x81, length))
+    if length < 0x10000:
+        return bytes((octet, 0x82, length >> 8, length & 0xFF))
+    return bytes((octet,)) + _encode_length(length)
+
+
 def encode_tlv(tag: Tag | int, value: bytes) -> bytes:
     """Encode one TLV record with a definite length."""
     octet = tag.octet if isinstance(tag, Tag) else tag
-    return bytes([octet]) + _encode_length(len(value)) + value
+    return tlv_header(octet, len(value)) + value
 
 
 def decode_tlv(

@@ -68,6 +68,7 @@ __all__ = [
     "ExtendedResponse",
     "LdapMessage",
     "encode_message",
+    "encode_message_id",
     "encode_message_with_op",
     "encode_search_entry",
     "decode_message",
@@ -945,19 +946,28 @@ def encode_search_entry(entry: "Entry") -> bytes:
     return _encode_op(SearchResultEntry.from_entry(entry))
 
 
+def encode_message_id(message_id: int) -> bytes:
+    """The messageID TLV that opens every LDAPMessage of one operation:
+    encode it once and pass it to :func:`encode_message_with_op` for
+    each of the operation's responses."""
+    return ber.encode_integer(message_id)
+
+
 def encode_message_with_op(
-    message_id: int, op_bytes: "bytes | memoryview"
+    message_id: "int | bytes", op_bytes: "bytes | memoryview"
 ) -> bytes:
     """Wrap pre-encoded protocol-op bytes in an LDAPMessage envelope.
 
     Byte-identical to ``encode_message(LdapMessage(message_id, op))`` for
-    a message without controls.  Accepts a memoryview (a relay frame
+    a message without controls.  *message_id* is the id, or its TLV from
+    :func:`encode_message_id`.  Accepts a memoryview (a relay frame
     still aliasing its receive buffer); assembling the outgoing frame is
     the one unavoidable copy on the relay path.
     """
-    if type(op_bytes) is not bytes:
-        op_bytes = bytes(op_bytes)
-    return ber.encode_sequence(ber.encode_integer(message_id) + op_bytes)
+    if type(message_id) is not bytes:
+        message_id = ber.encode_integer(message_id)
+    header = ber.tlv_header(ber.TAG_SEQUENCE, len(message_id) + len(op_bytes))
+    return b"".join((header, message_id, op_bytes))
 
 
 def decode_message(data: "bytes | memoryview") -> LdapMessage:

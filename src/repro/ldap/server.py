@@ -38,7 +38,7 @@ stop in-flight backend work instead of letting it run to completion.
 from __future__ import annotations
 
 import threading
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..net.clock import Clock, WallClock
 from ..net.transport import Connection, ConnectionClosed
@@ -80,6 +80,7 @@ from .protocol import (
     UnbindRequest,
     decode_message,
     encode_message,
+    encode_message_id,
     encode_message_with_op,
     encode_search_entry,
 )
@@ -215,6 +216,161 @@ class _InFlightSearch:
         self.timer = None  # deadline TimerHandle, when armed
 
 
+def _done_frame(msg_id: int, result: LdapResult) -> bytes:
+    return encode_message(LdapMessage(msg_id, SearchResultDone(result)))
+
+
+# An answer in hand is written early once its gathered frames reach
+# this many bytes, so a long answer neither waits for its end nor piles
+# up in memory.
+_GATHER_BYTES = 64 * 1024
+
+# How an entry's frame was made; indexes _Answer.batch and .tally.
+_SLOW, _RELAYED, _HIT, _MISS, _UNCACHED = range(5)
+
+
+class _Answer:
+    """One search's response frames on their way to the wire.
+
+    While the backend call that started the search runs, its answer is
+    *in hand*: the first entry is written alone, so time to first entry
+    does not wait for the rest; later frames are gathered and written
+    with the references and the SearchResultDone in one ``send_all``
+    once the search has claimed its conclusion (early, at
+    ``_GATHER_BYTES``).  Frames offered after the call returned (chained
+    children) are written as they come.  Frames still unwritten when
+    another path concluded the search are dropped, so nothing follows
+    that path's Done.
+
+    A thread that finds no write in progress writes everything queued,
+    in order, outside the lock; any other thread only queues.  Writes
+    thus keep offer order across threads without a lock held over a
+    socket write (whose failure runs the close handler).  The entries
+    written are tallied by kind and reach the counters with counts: for
+    an answer in hand once, just before its last write.
+    """
+
+    __slots__ = (
+        "conn", "msg_id", "head", "lock", "frames", "size", "batch", "tally",
+        "accepted", "gathering", "writing", "concluded",
+    )
+
+    def __init__(self, conn: "_ServerConnection", msg_id: int):
+        self.conn = conn
+        self.msg_id = msg_id
+        self.head = encode_message_id(msg_id)
+        self.lock = threading.Lock()
+        self.frames: List[bytes] = []  # queued, not yet written
+        self.size = 0  # bytes in frames
+        self.batch = [0, 0, 0, 0, 0]  # entries in frames, by kind
+        self.tally = [0, 0, 0, 0, 0]  # entries written, not yet counted
+        self.accepted = 0  # entries offered, for the size limit
+        self.gathering = True
+        self.writing = False
+        self.concluded = False
+
+    def entry(self, frame: bytes, kind: int) -> None:
+        """Offer one SearchResultEntry frame, made as *kind* says."""
+        with self.lock:
+            self.accepted += 1
+            if not (self.writing or self.frames) and (
+                self.accepted == 1 or not self.gathering
+            ):
+                # Nothing queued: the first entry in hand, or a late
+                # one, is written alone and at once.
+                if not (self.concluded or self.msg_id in self.conn._inflight):
+                    return
+                self.tally[kind] += 1
+                if not self.gathering:
+                    self._count()
+                self.writing = True
+                alone = [frame]
+            else:
+                self.frames.append(frame)
+                self.size += len(frame)
+                self.batch[kind] += 1
+                if self.writing or (self.gathering and self.size < _GATHER_BYTES):
+                    return
+                self.writing = True
+                alone = None
+        if alone is not None:
+            self.conn._send_all(alone)
+        self._drain()
+
+    def claim(self) -> bool:
+        """Claim the search's conclusion for this answer; False when
+        another path concluded it.  Claimed under the lock, so no write
+        finds the search neither in flight nor concluded here and drops
+        frames this answer still owes."""
+        with self.lock:
+            if self.conn._take_inflight(self.msg_id) is None:
+                return False
+            self.concluded = True
+            return True
+
+    def finish(self, frames: List[bytes]) -> None:
+        """Write what is queued and then *frames*; the caller has
+        :meth:`claim`-ed the search's conclusion."""
+        with self.lock:
+            self.frames += frames
+            if self.writing:
+                return
+            self.writing = True
+        self._drain()
+
+    def returned(self) -> None:
+        """The backend call returned: write what it left gathered."""
+        with self.lock:
+            self.gathering = False
+            if self.writing:
+                return
+            if not self.frames:
+                self._count()
+                return
+            self.writing = True
+        self._drain()
+
+    def _drain(self) -> None:
+        """Write what is queued until nothing is; the caller set ``writing``."""
+        while True:
+            with self.lock:
+                frames = self.frames
+                if not frames:
+                    self.writing = False
+                    if not self.gathering:
+                        self._count()
+                    return
+                live = self.concluded or self.msg_id in self.conn._inflight
+                batch = self.batch
+                self.frames, self.size, self.batch = [], 0, [0, 0, 0, 0, 0]
+                if live:
+                    tally = self.tally
+                    for kind, count in enumerate(batch):
+                        tally[kind] += count
+                    if self.concluded or not self.gathering:
+                        self._count()  # before the write a reader may wait on
+            if live:
+                self.conn._send_all(frames)
+
+    def _count(self) -> None:
+        """Move the tally to the counters; the caller holds the lock."""
+        tally = self.tally
+        total = sum(tally)
+        if not total:
+            return
+        server = self.conn.server
+        server._entries_returned.inc(total)
+        if tally[_RELAYED]:
+            server._entries_relayed.inc(tally[_RELAYED])
+        if tally[_HIT]:
+            server._encode_hits.inc(tally[_HIT])
+        if tally[_MISS]:
+            server._encode_misses.inc(tally[_MISS])
+        if tally[_UNCACHED]:
+            server._encode_uncached.inc(tally[_UNCACHED])
+        self.tally = [0, 0, 0, 0, 0]
+
+
 class _ServerConnection:
     """Per-connection protocol state machine.
 
@@ -242,14 +398,14 @@ class _ServerConnection:
     # -- plumbing -----------------------------------------------------------
 
     def _send(self, message: LdapMessage) -> None:
-        self._send_raw(encode_message(message))
+        self._send_all([encode_message(message)])
 
     def _done(self, msg_id: int, code: int = ResultCode.SUCCESS, message: str = "") -> None:
-        self._send(LdapMessage(msg_id, SearchResultDone(LdapResult(code, message=message))))
+        self._send_all([_done_frame(msg_id, LdapResult(code, message=message))])
 
-    def _send_raw(self, data: bytes) -> None:
+    def _send_all(self, frames: List[bytes]) -> None:
         try:
-            self.conn.send(data)
+            self.conn.send_all(frames)
         except ConnectionClosed:
             self._on_close()
 
@@ -478,30 +634,6 @@ class _ServerConnection:
             and self.server.policy.is_transparent(self.identity)
         )
 
-    def _send_entry(
-        self, msg_id: int, req: SearchRequest, entry: Entry, fast: bool
-    ) -> None:
-        """Send one matched entry, via the encode cache when eligible."""
-        if not fast:
-            self._send(LdapMessage(msg_id, self._wire_entry(req, entry)))
-            return
-        server = self.server
-        cell = entry._wire
-        if cell is None:
-            # Not served from a cacheable store (provider-generated,
-            # GIIS-merged, projected): encode per response.
-            body = encode_search_entry(entry)
-            server._encode_uncached.inc()
-        else:
-            body = cell.body
-            if body is None:
-                body = encode_search_entry(entry)
-                cell.body = body
-                server._encode_misses.inc()
-            else:
-                server._encode_hits.inc()
-        self._send_raw(encode_message_with_op(msg_id, body))
-
     def _deadline_for(self, req: SearchRequest, now: float) -> Optional[float]:
         """Absolute deadline: tighter of the request's timeLimit and the
         server default; None when neither bounds the search."""
@@ -581,8 +713,9 @@ class _ServerConnection:
         """Execute one admitted search (executor worker or inline).
 
         Every response path must first claim the in-flight record via
-        :meth:`_take_inflight`; a None claim means the deadline timer,
-        an Abandon, or a close already concluded this message id and the
+        :meth:`_take_inflight` (through :meth:`_Answer.claim` once the
+        answer exists); a failed claim means the deadline timer, an
+        Abandon, or a close already concluded this message id and the
         outcome is dropped.
         """
         token = ctx.token
@@ -648,40 +781,47 @@ class _ServerConnection:
             )
             ctx.trace = span
 
-        def after_initial() -> None:
-            if psc is not None:
-                sub = self.server.backend.subscribe(
-                    req, ctx, self._pusher(msg_id, req, psc), psc.change_types
-                )
-                if sub is None:
-                    self._done(
-                        msg_id,
-                        ResultCode.UNWILLING_TO_PERFORM,
-                        "subscriptions not supported by backend",
-                    )
-                    return
-                with self._ops_lock:
-                    self._subscriptions[msg_id] = sub
-                if self.conn.closed:
-                    # Lost the race with a disconnect: _on_close may
-                    # already have swept the table before we registered.
-                    with self._ops_lock:
-                        sub = self._subscriptions.pop(msg_id, None)
-                    if sub is not None:
-                        sub.cancel()
-                # No SearchResultDone: the search stays open until Abandon.
-                return
-            self._done(msg_id)
+        answer = _Answer(self, msg_id)
 
-        def conclude(code: int, sent: int) -> None:
+        def after_initial(tail: List[bytes]) -> None:
+            """Conclude a claimed search: write *tail* after the entries,
+            then the Done, or open the persistent search instead."""
+            if psc is None:
+                answer.finish(tail + [_done_frame(msg_id, LdapResult())])
+                return
+            answer.finish(tail)
+            sub = self.server.backend.subscribe(
+                req, ctx, self._pusher(msg_id, req, psc), psc.change_types
+            )
+            if sub is None:
+                refused = LdapResult(
+                    ResultCode.UNWILLING_TO_PERFORM,
+                    message="subscriptions not supported by backend",
+                )
+                answer.finish([_done_frame(msg_id, refused)])
+                return
+            with self._ops_lock:
+                self._subscriptions[msg_id] = sub
+            if self.conn.closed:
+                # Lost the race with a disconnect: _on_close may
+                # already have swept the table before we registered.
+                with self._ops_lock:
+                    sub = self._subscriptions.pop(msg_id, None)
+                if sub is not None:
+                    sub.cancel()
+            # No SearchResultDone: the search stays open until Abandon.
+
+        def conclude(code: int) -> None:
             self.server.observe_result("search", code, started)
             if span is not None:
-                span.tag("entries", sent).tag("code", code).finish()
+                span.tag("entries", answer.accepted).tag("code", code).finish()
 
         # Streaming delivery: the backend pushes results one at a time
-        # and each is sent as it arrives — the first entry reaches the
-        # wire before the backend finishes producing (or, for a chaining
-        # GIIS, before slower children have even answered).
+        # into the answer, which writes the first entry at once and,
+        # while the backend call runs, gathers the rest for one write
+        # with the Done (see _Answer) — the first entry reaches the wire
+        # before the backend finishes producing, and a chaining GIIS's
+        # children are written as they answer.
         #
         # On the fast lane the ACL rebuild is an identity transform, so
         # only the (still authoritative) filter match runs per entry and
@@ -694,17 +834,18 @@ class _ServerConnection:
         fast = self._fast_lane(req)
         ctx.transparent = fast
         match = compile_filter(req.filter)
-        sent_box = [0]
+        head = answer.head
 
         def over_limit() -> bool:
             """Conclude with sizeLimitExceeded on the (limit+1)-th
             visible entry; cancelling the token afterwards makes a
             chaining backend Abandon its outstanding children."""
-            if not req.size_limit or sent_box[0] < req.size_limit:
+            if not req.size_limit or answer.accepted < req.size_limit:
                 return False
-            if self._take_inflight(msg_id) is not None:
-                conclude(ResultCode.SIZE_LIMIT_EXCEEDED, sent_box[0])
-                self._done(msg_id, ResultCode.SIZE_LIMIT_EXCEEDED)
+            if answer.claim():
+                conclude(ResultCode.SIZE_LIMIT_EXCEEDED)
+                exceeded = LdapResult(ResultCode.SIZE_LIMIT_EXCEEDED)
+                answer.finish([_done_frame(msg_id, exceeded)])
                 token.cancel("size limit satisfied")
             return True
 
@@ -713,35 +854,35 @@ class _ServerConnection:
                 return
             if isinstance(item, RawEntry):
                 if fast:
-                    if over_limit():
-                        return
-                    self.server._entries_returned.inc()
-                    self.server._entries_relayed.inc()
-                    sent_box[0] += 1
-                    self._send_raw(
-                        encode_message_with_op(msg_id, item.op_bytes)
-                    )
+                    if not over_limit():
+                        answer.entry(encode_message_with_op(head, item.op_bytes), _RELAYED)
                     return
                 # The front end must project/filter after all: decode.
                 entry = item.to_entry()
             else:
                 entry = item
-            if fast:
-                if not match(entry):
-                    return
-                visible = entry
-            else:
+            if not fast:
                 visible = self._visible(req, entry, match)
-                if visible is None:
-                    return
-            if over_limit():
+                if visible is not None and not over_limit():
+                    sre = self._wire_entry(req, visible)
+                    answer.entry(encode_message(LdapMessage(msg_id, sre)), _SLOW)
                 return
-            self.server._entries_returned.inc()
-            sent_box[0] += 1
-            self._send_entry(msg_id, req, visible, fast)
+            if not match(entry) or over_limit():
+                return
+            cell = entry._wire
+            if cell is None:
+                # Not served from a cacheable store (provider-generated,
+                # GIIS-merged, projected): encode per response.
+                body, kind = encode_search_entry(entry), _UNCACHED
+            elif cell.body is None:
+                body = cell.body = encode_search_entry(entry)
+                kind = _MISS
+            else:
+                body, kind = cell.body, _HIT
+            answer.entry(encode_message_with_op(head, body), kind)
 
         def on_done(outcome) -> None:
-            if self._take_inflight(msg_id) is None:
+            if not answer.claim():
                 # Deadline/Abandon/close/size-limit answered first:
                 # drop silently.
                 if span is not None:
@@ -749,23 +890,28 @@ class _ServerConnection:
                 return
             if not outcome.result.ok:
                 # A non-ok outcome ends the stream with the backend's
-                # code; partial entry sets (sizeLimitExceeded) were
-                # already streamed above.
-                conclude(outcome.result.code, sent_box[0])
-                self._send(LdapMessage(msg_id, SearchResultDone(outcome.result)))
+                # code after the partial entry set (sizeLimitExceeded).
+                conclude(outcome.result.code)
+                answer.finish([_done_frame(msg_id, outcome.result)])
                 return
-            for uri in outcome.referrals:
-                self._send(LdapMessage(msg_id, SearchResultReference((uri,))))
-            conclude(ResultCode.SUCCESS, sent_box[0])
-            after_initial()
+            conclude(ResultCode.SUCCESS)
+            after_initial(
+                [
+                    encode_message(LdapMessage(msg_id, SearchResultReference((uri,))))
+                    for uri in outcome.referrals
+                ]
+            )
 
         if psc is not None and psc.changes_only:
-            if self._take_inflight(msg_id) is None:
+            if not answer.claim():
                 return
-            conclude(ResultCode.SUCCESS, 0)
-            after_initial()
-        else:
+            conclude(ResultCode.SUCCESS)
+            after_initial([])
+            return
+        try:
             self.server.backend.submit_search_stream(req, ctx, on_entry, on_done)
+        finally:
+            answer.returned()
 
     def _pusher(
         self, msg_id: int, req: SearchRequest, psc: PersistentSearchControl

@@ -41,7 +41,7 @@ import selectors
 import socket
 import threading
 import weakref
-from typing import Callable, Deque, Dict, List, Optional
+from typing import Callable, Deque, Dict, List, Optional, Sequence
 
 from ..obs.metrics import MetricsRegistry
 from .transport import (
@@ -317,6 +317,11 @@ class ReactorConnection:
         if self._metrics is not None:
             self._frames_out.inc()
             self._bytes_out.inc(len(message))
+
+    def send_all(self, messages: Sequence[bytes]) -> None:
+        # One socket write for the lot; ``send`` stays the only write path,
+        # so ``tcp.frames.sent`` counts writes, not messages.
+        self.send(messages[0] if len(messages) == 1 else b"".join(messages))
 
     def set_receiver(self, callback: Callable[[bytes], None]) -> None:
         # The backlog drain must be serialized against the loop: draining

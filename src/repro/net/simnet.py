@@ -21,7 +21,7 @@ reset.  Datagrams are unreliable: loss silently drops them.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .links import LAN, LinkModel
 from .sim import Simulator
@@ -106,6 +106,12 @@ class SimConnection:
             peer._dispatch(message)
 
         sim.call_at(when, deliver)
+
+    def send_all(self, messages: Sequence[bytes]) -> None:
+        # One delivery per message, so the model and its figures are the
+        # same as for per-message sends.
+        for message in messages:
+            self.send(message)
 
     def set_receiver(self, callback: Callable[[bytes], None]) -> None:
         self._receiver = callback

@@ -15,7 +15,7 @@ serves a simulated node (:mod:`repro.net.simnet`) and a TCP endpoint
 
 from __future__ import annotations
 
-from typing import Callable, Protocol, Tuple
+from typing import Callable, Protocol, Sequence, Tuple
 
 __all__ = [
     "Address",
@@ -48,6 +48,10 @@ class Connection(Protocol):
 
     def send(self, message: bytes) -> None:
         """Queue one message for delivery to the peer."""
+
+    def send_all(self, messages: Sequence[bytes]) -> None:
+        """Queue *messages* for delivery in order, as one write where the
+        transport can: the peer still receives each message on its own."""
 
     def set_receiver(self, callback: Callable[[bytes], None]) -> None:
         """Install the inbound-message callback.

@@ -64,6 +64,15 @@ class TestLengths:
         assert len(value) == 70000
         assert end == len(enc)
 
+    @pytest.mark.parametrize(
+        "length", [0, 1, 0x7F, 0x80, 0xFF, 0x100, 0x1234, 0xFFFF, 0x10000, 70000]
+    )
+    def test_header_is_minimal_and_decodes(self, length):
+        header = ber.tlv_header(0x30, length)
+        assert header == bytes([0x30]) + ber._encode_length(length)
+        _, value, end = decode_tlv(header + b"x" * length)
+        assert len(value) == length and end == len(header) + length
+
     def test_indefinite_length_rejected(self):
         with pytest.raises(BerError, match="indefinite"):
             decode_tlv(b"\x30\x80\x00\x00")

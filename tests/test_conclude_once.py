@@ -7,17 +7,34 @@ drive the exact interleaving deterministically by hooking the client's
 lock, so they don't rely on sleeps or thread timing.
 """
 
+import itertools
+import sys
 import threading
 
+from repro.ldap.backend import (
+    Backend,
+    DitBackend,
+    SearchHandle,
+    SearchOutcome,
+    stream_outcome,
+)
 from repro.ldap.client import LdapClient
+from repro.ldap.dit import DIT
+from repro.ldap.entry import Entry
+from repro.ldap.executor import RequestExecutor
+from repro.ldap.filter import parse as parse_filter
 from repro.ldap.protocol import (
+    AbandonRequest,
     LdapMessage,
     LdapResult,
     ResultCode,
     SearchRequest,
     SearchResultDone,
+    SearchResultEntry,
+    decode_message,
     encode_message,
 )
+from repro.ldap.server import LdapServer
 from repro.net import ReactorEndpoint
 from repro.net.clock import Clock, TimerHandle
 from repro.obs.metrics import MetricsRegistry
@@ -40,7 +57,8 @@ class FakeConn:
     """Connection double: collects sent frames, delivers on demand."""
 
     def __init__(self):
-        self.sent = []
+        self.sent = []  # every message, in order
+        self.writes = []  # the messages of each send / send_all call
         self.closed = False
         self.receiver = None
         self.close_handler = None
@@ -49,6 +67,11 @@ class FakeConn:
 
     def send(self, message: bytes) -> None:
         self.sent.append(message)
+        self.writes.append([message])
+
+    def send_all(self, messages) -> None:
+        self.sent.extend(messages)
+        self.writes.append(list(messages))
 
     def set_receiver(self, callback) -> None:
         self.receiver = callback
@@ -229,6 +252,194 @@ class TestSubscriptionHandleConcludes:
         handle.cancel()
         assert not handle.active
         assert len(conn.sent) == frames_before + 1  # the Abandon
+
+
+def _host_dit(n: int) -> DIT:
+    dit = DIT()
+    dit.add(Entry("o=Grid", objectclass="organization", o="Grid"))
+    for h in range(n):
+        dit.add(Entry(f"hn=host{h}, o=Grid", objectclass="computer", hn=f"host{h}"))
+    return dit
+
+
+class _HookedBackend(Backend):
+    """A DIT answer in hand whose delivery runs *hook* after the
+    *after*-th entry: a rival concluding the search mid-delivery."""
+
+    def __init__(self, dit: DIT, after: int):
+        self.inner = DitBackend(dit)
+        self.after = after
+        self.hook = None
+
+    def submit_search_stream(self, req, ctx, on_entry, on_done):
+        delivered = []
+
+        def entry(item):
+            on_entry(item)
+            delivered.append(item)
+            if len(delivered) == self.after:
+                self.hook()
+
+        return stream_outcome(self.inner._search_impl(req, ctx), ctx, entry, on_done)
+
+
+def _ops(frames):
+    return [decode_message(frame).op for frame in frames]
+
+
+class TestGatheredAnswerConcludesOnce:
+    """An answer in hand is gathered after its first entry and written
+    with its Done; a rival that concludes the search meanwhile drops the
+    gathered frames, so nothing follows the rival's outcome."""
+
+    REQ = SearchRequest(base="o=Grid", filter=parse_filter("(objectclass=computer)"))
+
+    def _serve(self, backend, clock=None, executor=None):
+        conn = FakeConn()
+        LdapServer(backend, clock=clock, executor=executor).handle_connection(conn)
+        return conn
+
+    def test_deadline_during_delivery_leaves_one_done_and_nothing_after(self):
+        clock = ManualClock()
+        backend = _HookedBackend(_host_dit(10), after=4)
+        conn = self._serve(backend, clock=clock)
+        backend.hook = lambda: clock.timers[0][1]()  # the deadline fires
+        req = SearchRequest(base="o=Grid", filter=self.REQ.filter, time_limit=5)
+        conn.receiver(encode_message(LdapMessage(1, req)))
+
+        ops = _ops(conn.sent)
+        dones = [op for op in ops if isinstance(op, SearchResultDone)]
+        assert len(dones) == 1 and ops[-1] is dones[0]
+        assert dones[0].result.code == ResultCode.TIME_LIMIT_EXCEEDED
+        # The first entry went out alone; the gathered ones were dropped.
+        assert [type(op) for op in ops] == [SearchResultEntry, SearchResultDone]
+
+    def test_abandon_during_delivery_writes_nothing_after_it(self):
+        backend = _HookedBackend(_host_dit(10), after=4)
+        executor = RequestExecutor(workers=1)
+        conn = self._serve(backend, executor=executor)
+        at_abandon = []
+
+        def abandon():
+            at_abandon.append(len(conn.sent))
+            conn.receiver(encode_message(LdapMessage(2, AbandonRequest(1))))
+
+        backend.hook = abandon
+        conn.receiver(encode_message(LdapMessage(1, self.REQ)))
+        executor.shutdown(wait=True)
+
+        assert at_abandon == [1]
+        assert len(conn.sent) == 1  # the first entry, and nothing since
+        assert not any(isinstance(op, SearchResultDone) for op in _ops(conn.sent))
+
+    def test_close_during_delivery_writes_nothing_after_it(self):
+        backend = _HookedBackend(_host_dit(10), after=4)
+        conn = self._serve(backend)
+        at_close = []
+
+        def close():
+            at_close.append(len(conn.sent))
+            conn.closed = True
+            conn.close_handler()
+
+        backend.hook = close
+        conn.receiver(encode_message(LdapMessage(1, self.REQ)))
+
+        assert at_close == [1] and len(conn.sent) == 1
+
+    def test_size_limit_writes_the_limit_then_done_in_two_writes(self):
+        conn = self._serve(DitBackend(_host_dit(10)))
+        req = SearchRequest(base="o=Grid", filter=self.REQ.filter, size_limit=3)
+        conn.receiver(encode_message(LdapMessage(1, req)))
+
+        ops = _ops(conn.sent)
+        assert [type(op) for op in ops] == [SearchResultEntry] * 3 + [SearchResultDone]
+        assert ops[-1].result.code == ResultCode.SIZE_LIMIT_EXCEEDED
+        assert len(conn.writes) <= 2
+        assert len(conn.writes[0]) == 1  # the first entry alone
+
+    def test_a_long_answer_is_flushed_in_bounded_writes(self):
+        from repro.ldap.server import _GATHER_BYTES
+
+        dit = _host_dit(0)
+        for h in range(300):
+            dit.add(Entry(f"hn=host{h}, o=Grid", objectclass="computer",
+                          hn=f"host{h}", note="x" * 1000))
+        conn = self._serve(DitBackend(dit))
+        conn.receiver(encode_message(LdapMessage(1, self.REQ)))
+
+        ops = _ops(conn.sent)
+        assert len(ops) == 301 and isinstance(ops[-1], SearchResultDone)
+        sizes = [sum(map(len, write)) for write in conn.writes]
+        assert 3 <= len(sizes) <= 10
+        frame = max(map(len, conn.sent))
+        assert all(size < _GATHER_BYTES + frame for size in sizes)
+
+
+class _RacingBackend(Backend):
+    """Like a chaining GIIS: *local* entries on the calling thread, then
+    0, 1 or 5 more and the Done from another thread, racing the call's
+    return."""
+
+    def __init__(self, local: int):
+        self.local = local
+        self.remotes = itertools.cycle([0, 1, 5])
+        self.sizes = []
+        self.threads = []
+
+    def submit_search_stream(self, req, ctx, on_entry, on_done):
+        def entry(i):
+            return Entry(f"hn=host{i}, o=Grid", objectclass="computer", hn=f"host{i}")
+
+        size = self.local + next(self.remotes)
+        self.sizes.append(size)
+        for i in range(self.local):
+            on_entry(entry(i))
+
+        def rest():
+            for i in range(self.local, size):
+                on_entry(entry(i))
+            on_done(SearchOutcome())
+
+        thread = threading.Thread(target=rest)
+        self.threads.append(thread)
+        thread.start()
+        return SearchHandle(ctx.token)
+
+
+def test_entries_racing_the_call_return_are_written_once_before_the_done():
+    backend = _RacingBackend(local=3)
+    executor = RequestExecutor(workers=4)
+    server = LdapServer(backend, executor=executor)
+    conn = FakeConn()
+    server.handle_connection(conn)
+    searches = 60
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for msg_id in range(1, searches + 1):
+            conn.receiver(encode_message(LdapMessage(msg_id, TestGatheredAnswerConcludesOnce.REQ)))
+        executor.shutdown(wait=True)
+        for thread in backend.threads:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(old)
+
+    by_id = {}
+    for frame in conn.sent:
+        message = decode_message(frame)
+        by_id.setdefault(message.message_id, []).append(message.op)
+    assert sorted(by_id) == list(range(1, searches + 1))
+    sizes = []
+    for ops in by_id.values():
+        assert isinstance(ops[-1], SearchResultDone) and ops[-1].result.ok
+        sizes.append(len(ops) - 1)
+        assert sorted(op.dn for op in ops[:-1]) == sorted(
+            f"hn=host{i}, o=Grid" for i in range(sizes[-1]))
+    assert sorted(sizes) == sorted(backend.sizes)
+    assert server.metrics.counter("ldap.entries.returned").value == sum(sizes)
+    assert server.metrics.counter("ldap.encode.cache.uncached").value == sum(sizes)
 
 
 class TestUdpCloseVsSend:

@@ -63,6 +63,26 @@ def test_a_gain_needs_nine_tenths_of_the_pairs_and_more_than_the_parent_spread()
     assert row["wins"] == 10 and row["verdict"] == "no regression"
 
 
+def test_a_parent_spread_wider_than_the_bound_is_unresolved():
+    """Bimodal parent runs: q1-q3 spans more than 25% of the median.  The
+    row says so, and keeps its verdict and the exit status."""
+    canned = [
+        (line(1.0, 1.0 if i % 2 else 2.0, 300.0), line(1.0, 1.0 if i % 2 else 2.0, 300.0))
+        for i in range(10)
+    ]
+    rows = rows_by_metric(canned)
+    p50 = rows["search_p50_ms"]
+    assert p50["unresolved"] and p50["verdict"] == "no regression"
+    assert not rows["server_cpu_ms_per_op"]["unresolved"]
+    text = pairs.format_rows(rows.values()).splitlines()
+    assert text[2].endswith("no regression, unresolved")
+    assert text[1].endswith("no regression")
+    # A regression past the bound still reads worse, marked or not.
+    worse = [(p, line(1.0, 3.0, 300.0)) for p, _ in canned]
+    p50 = rows_by_metric(worse)["search_p50_ms"]
+    assert (p50["verdict"], p50["unresolved"]) == ("worse", True)
+
+
 def test_failed_and_missing_runs():
     assert pairs.failed(pairs.parse_result(line(1.0, 1.0, 300.0, failed=2)))
     assert not pairs.failed(pairs.parse_result(line(1.0, 1.0, 300.0)))

@@ -468,6 +468,54 @@ def test_a_chained_search_starts_no_thread(monkeypatch):
     assert len(started) <= 1, started[:5]
 
 
+def _split_messages(data: bytes):
+    """The LDAPMessages one socket write carries, in order."""
+    frames, offset = [], 0
+    while offset < len(data):
+        _, _, end = ber.decode_tlv(data, offset)
+        frames.append(data[offset:end])
+        offset = end
+    return [decode_message(frame).op for frame in frames]
+
+
+def test_an_answer_in_hand_is_written_in_at_most_three_writes(monkeypatch):
+    """75 entries from a local backend over a real reactor: the first
+    entry is written alone, the rest with the Done in one write — not
+    one socket write per entry."""
+    from repro.net.reactor import ReactorConnection
+
+    dit = DIT()
+    dit.add(Entry("o=Grid", objectclass="organization", o="Grid"))
+    for h in range(75):
+        dit.add(Entry(f"hn=host{h}, o=Grid", objectclass="computer", hn=f"host{h}"))
+    served, writes = [], []
+    real_send = ReactorConnection.send
+
+    def counting_send(conn, message):
+        if conn in served:
+            writes.append(bytes(message))
+        real_send(conn, message)
+
+    with open_wire("reactor") as wire:
+        server = LdapServer(DitBackend(dit), clock=wire.clock)
+
+        def handler(conn):
+            served.append(conn)
+            server.handle_connection(conn)
+
+        client = LdapClient(wire.connect(wire.listen(handler)))
+        monkeypatch.setattr(ReactorConnection, "send", counting_send)
+        result = client.search("o=Grid", filter="(objectclass=computer)")
+        monkeypatch.undo()
+        client.unbind()
+
+    assert result.result.ok and len(result.entries) == 75
+    assert 1 <= len(writes) <= 3
+    assert [type(op) for op in _split_messages(writes[0])] == [SearchResultEntry]
+    ops = [op for write in writes for op in _split_messages(write)]
+    assert [type(op) for op in ops] == [SearchResultEntry] * 75 + [SearchResultDone]
+
+
 # ---------------------------------------------------------------------------
 # Streamed == reference merge through the whole chained stack (simulator)
 # ---------------------------------------------------------------------------
